@@ -7,15 +7,7 @@ models the arithmetic cost of running that chain on a small dataflow
 pipeline with configurable accelerator counts.
 """
 
-from .backends import (
-    PerformanceWarning,
-    available_backends,
-    centered_conv,
-    centered_conv_complex,
-    circular_conv,
-    current_backend,
-    use_backend,
-)
+from .backends import centered_conv, centered_conv_complex, circular_conv
 from .despike import (
     NoDetectionError,
     RectMask,
@@ -93,7 +85,6 @@ __all__ = [
     "MultiChannelSignal",
     "NoDetectionError",
     "OverlapRegime",
-    "PerformanceWarning",
     "PipelineConfig",
     "RectMask",
     "SeparationResult",
@@ -103,7 +94,6 @@ __all__ = [
     "TickReport",
     "TimeWindow",
     "WaveletCoefficients",
-    "available_backends",
     "band_for_target",
     "bandpass",
     "benchmark_report",
@@ -113,7 +103,6 @@ __all__ = [
     "centered_conv_complex",
     "channel",
     "circular_conv",
-    "current_backend",
     "detect_buildup",
     "detect_oscillation_center",
     "envelope_smooth",
@@ -143,7 +132,6 @@ __all__ = [
     "swt_decompose",
     "threshold_coeffs",
     "upsample_filter",
-    "use_backend",
     "wavelet_filters",
     "__version__",
 ]

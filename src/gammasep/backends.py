@@ -1,209 +1,19 @@
-"""Numeric convolution kernels with a JIT backend and a plain numpy fallback.
+"""Numeric convolution kernels shared by the wavelet and mapping chains.
 
-Two implementations of the same three kernels live here. The jitted one is
-used by default when numba imports cleanly; the numpy one is always present
-and can be forced with the ``GAMMASEP_BACKEND`` environment variable or at
-runtime with :func:`use_backend`. Both accumulate taps in the same order, so
-the circular kernel produces bit-identical output on either backend.
+The circular kernel accumulates taps in ascending order, one shifted copy of
+the input at a time, so its output is reproducible to the bit. The centered
+kernels ride ``np.convolve``.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
 __all__ = [
-    "PerformanceWarning",
-    "available_backends",
     "centered_conv",
     "centered_conv_complex",
     "circular_conv",
-    "current_backend",
-    "use_backend",
 ]
-
-
-class PerformanceWarning(UserWarning):
-    """Raised when the jitted backend was requested but is unavailable."""
-
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-
-
-def _circular_conv_numpy(x, taps, stride):
-    # ascending-m accumulation, same order as the jitted loop
-    y = np.zeros_like(x)
-    for m in range(taps.shape[0]):
-        y += taps[m] * np.roll(x, m * stride)
-    return y
-
-
-def _centered_conv_numpy(x, taps):
-    off = (taps.shape[0] - 1) // 2
-    return np.convolve(x, taps, mode="full")[off : off + x.shape[0]]
-
-
-def _centered_conv_complex_numpy(x, taps):
-    off = (taps.shape[0] - 1) // 2
-    return np.convolve(x.astype(np.complex128), taps, mode="full")[
-        off : off + x.shape[0]
-    ]
-
-
-# ---------------------------------------------------------------------------
-# jitted implementations
-
-
-@njit(cache=True)
-def _circular_conv_jit(x, taps, stride):
-    n = x.shape[0]
-    k = taps.shape[0]
-    y = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for m in range(k):
-            acc += taps[m] * x[(i - m * stride) % n]
-        y[i] = acc
-    return y
-
-
-# The centered kernels flip the taps so the inner loop reads both arrays
-# forward with unit stride, and use fastmath so LLVM can vectorise the
-# reduction. The circular kernel stays strict because its output is
-# promised bit-identical across backends.
-@njit(cache=True, fastmath=True)
-def _centered_conv_jit(x, taps):
-    n = x.shape[0]
-    k = taps.shape[0]
-    off = (k - 1) // 2
-    flipped = taps[::-1].copy()
-    y = np.zeros(n)
-    # rows [start, stop) have full tap overlap; the loop there has a
-    # constant trip count, which lets LLVM vectorise the reduction
-    start = min(max(k - 1 - off, 0), n)
-    stop = max(min(n - k + off + 1, n), start)
-    for i in range(0, start):
-        base = i + off - (k - 1)
-        j0 = -base if base < 0 else 0
-        j1 = n - base if base + k > n else k
-        acc = 0.0
-        for j in range(j0, j1):
-            acc += flipped[j] * x[base + j]
-        y[i] = acc
-    for i in range(start, stop):
-        base = i + off - (k - 1)
-        acc = 0.0
-        for j in range(k):
-            acc += flipped[j] * x[base + j]
-        y[i] = acc
-    for i in range(stop, n):
-        base = i + off - (k - 1)
-        j0 = -base if base < 0 else 0
-        j1 = n - base if base + k > n else k
-        acc = 0.0
-        for j in range(j0, j1):
-            acc += flipped[j] * x[base + j]
-        y[i] = acc
-    return y
-
-
-@njit(cache=True, fastmath=True)
-def _centered_conv_complex_jit(x, taps):
-    n = x.shape[0]
-    k = taps.shape[0]
-    off = (k - 1) // 2
-    flipped = taps[::-1].copy()
-    y = np.zeros(n, dtype=np.complex128)
-    start = min(max(k - 1 - off, 0), n)
-    stop = max(min(n - k + off + 1, n), start)
-    for i in range(0, start):
-        base = i + off - (k - 1)
-        j0 = -base if base < 0 else 0
-        j1 = n - base if base + k > n else k
-        acc = 0.0 + 0.0j
-        for j in range(j0, j1):
-            acc += flipped[j] * x[base + j]
-        y[i] = acc
-    for i in range(start, stop):
-        base = i + off - (k - 1)
-        acc = 0.0 + 0.0j
-        for j in range(k):
-            acc += flipped[j] * x[base + j]
-        y[i] = acc
-    for i in range(stop, n):
-        base = i + off - (k - 1)
-        j0 = -base if base < 0 else 0
-        j1 = n - base if base + k > n else k
-        acc = 0.0 + 0.0j
-        for j in range(j0, j1):
-            acc += flipped[j] * x[base + j]
-        y[i] = acc
-    return y
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_IMPLS = {
-    "numpy": {
-        "circular": _circular_conv_numpy,
-        "centered": _centered_conv_numpy,
-        "centered_complex": _centered_conv_complex_numpy,
-    },
-    "numba": {
-        "circular": _circular_conv_jit,
-        "centered": _centered_conv_jit,
-        "centered_complex": _centered_conv_complex_jit,
-    },
-}
-
-_active_name = "numpy"
-_active = _IMPLS["numpy"]
-
-
-def available_backends():
-    """Names of backends usable in this process."""
-    names = ["numpy"]
-    if _HAVE_NUMBA:
-        names.append("numba")
-    return names
-
-
-def use_backend(name):
-    """Switch the active backend. Accepts 'auto', 'numba' or 'numpy'."""
-    global _active_name, _active
-    if name == "auto":
-        name = "numba" if _HAVE_NUMBA else "numpy"
-    if name not in _IMPLS:
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _active_name = name
-    _active = _IMPLS[name]
-    return _active_name
-
-
-def current_backend():
-    return _active_name
 
 
 def circular_conv(x, taps, stride=1):
@@ -213,7 +23,11 @@ def circular_conv(x, taps, stride=1):
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     taps = np.ascontiguousarray(taps, dtype=np.float64)
-    return _active["circular"](x, taps, int(stride))
+    stride = int(stride)
+    y = np.zeros_like(x)
+    for m in range(taps.shape[0]):
+        y += taps[m] * np.roll(x, m * stride)
+    return y
 
 
 def centered_conv(x, taps):
@@ -223,34 +37,15 @@ def centered_conv(x, taps):
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     taps = np.ascontiguousarray(taps, dtype=np.float64)
-    return _active["centered"](x, taps)
+    off = (taps.shape[0] - 1) // 2
+    return np.convolve(x, taps, mode="full")[off : off + x.shape[0]]
 
 
 def centered_conv_complex(x, taps):
     """Like :func:`centered_conv` but with complex taps, for analytic kernels."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     taps = np.ascontiguousarray(taps, dtype=np.complex128)
-    return _active["centered_complex"](x, taps)
-
-
-def _init_from_env():
-    choice = os.environ.get("GAMMASEP_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        warnings.warn(
-            f"GAMMASEP_BACKEND={choice!r} not recognised, using auto",
-            PerformanceWarning,
-            stacklevel=2,
-        )
-        choice = "auto"
-    if choice == "numba" and not _HAVE_NUMBA:
-        warnings.warn(
-            "GAMMASEP_BACKEND=numba but numba is not importable, "
-            "falling back to numpy",
-            PerformanceWarning,
-            stacklevel=2,
-        )
-        choice = "numpy"
-    use_backend(choice)
-
-
-_init_from_env()
+    off = (taps.shape[0] - 1) // 2
+    return np.convolve(x.astype(np.complex128), taps, mode="full")[
+        off : off + x.shape[0]
+    ]

@@ -157,6 +157,12 @@ def read_signal_csv(path):
     if not rows:
         raise SignalFormatError(f"{path}: no sample rows")
     data = np.array(rows, dtype=np.float64).T
+    finite = np.isfinite(data).all(axis=0)
+    if not finite.all():
+        linenos = [n for n, line in enumerate(lines[2:], start=3) if line.strip()]
+        raise SignalFormatError(
+            f"{path}: line {linenos[np.argmin(finite)]}: non-finite value"
+        )
     try:
         return MultiChannelSignal(
             sample_rate_hz=rate, channel_labels=tuple(labels), data=data

@@ -103,7 +103,8 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
     Sums squared detail coefficients over the mask's scales, each level
     advanced to undo its filter delay, smooths the total with a centered
     circular moving average as wide as the mask, and returns the first
-    index attaining the maximum.
+    index attaining the maximum. Raises NoDetectionError when that energy is
+    zero everywhere, and ValueError when it overflows.
     """
     duration_ms, _ = mask_geometry(target_freq_hz)
     width = max(1, ms_to_samples(duration_ms, sample_rate_hz))
@@ -120,7 +121,12 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
     smoothed = circular_conv(energy, np.full(width, 1.0 / width))
     smoothed = np.roll(smoothed, -((width - 1) // 2))
     peak = smoothed.max()
-    if not np.isfinite(peak) or peak <= 0.0:
+    if not np.isfinite(peak):
+        raise ValueError(
+            f"detail energy near {target_freq_hz} Hz is not finite; "
+            "check the input scale"
+        )
+    if peak <= 0.0:
         raise NoDetectionError(
             f"no oscillatory energy found near {target_freq_hz} Hz"
         )

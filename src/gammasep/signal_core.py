@@ -97,7 +97,8 @@ class MultiChannelSignal:
     """Uniformly sampled real-valued channels, amplitudes in microvolts.
 
     data is channel-major (one row per channel) so per-channel transforms
-    stream contiguously. The array is frozen after construction.
+    stream contiguously. Every sample must be finite. The array is frozen
+    after construction.
     """
 
     sample_rate_hz: float
@@ -112,6 +113,13 @@ class MultiChannelSignal:
         arr = np.array(self.data, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise ValueError(f"data must be 2-D (channels x samples), got {arr.ndim}-D")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            ch, i = np.argwhere(~finite)[0]
+            raise ValueError(
+                f"data must be finite, got {arr[ch, i]} at channel index {ch}, "
+                f"sample {i}"
+            )
         labels = tuple(str(lab) for lab in self.channel_labels)
         if len(labels) != arr.shape[0]:
             raise ValueError(

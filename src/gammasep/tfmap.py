@@ -232,7 +232,8 @@ def normalize_by_low_band(band_energy, x_original, sample_rate_hz):
     despiked channel, are measured against a quarter of the channel's peak
     instead of against nothing. Where the low band is above the floor the
     ratio is the plain quotient. Zero energy stays zero, and an input with
-    no low-band energy at all maps to zeros.
+    no low-band energy at all maps to zeros. A low-band energy that
+    overflows raises ValueError.
     """
     band_energy = np.asarray(band_energy, dtype=np.float64)
     x_original = np.asarray(x_original, dtype=np.float64)
@@ -242,6 +243,8 @@ def normalize_by_low_band(band_energy, x_original, sample_rate_hz):
         )
     low = bandpass(x_original, LOW_BAND_HZ, sample_rate_hz)
     low_energy = envelope_smooth(low * low, SMOOTH_WIDTH)
+    if not np.isfinite(low_energy).all():
+        raise ValueError("low-band energy is not finite; check the input scale")
     floor = RAMP_FRACTION * np.max(low_energy) if low_energy.size else 0.0
     denom = np.maximum(low_energy, floor)
     out = np.zeros_like(band_energy)

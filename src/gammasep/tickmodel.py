@@ -262,10 +262,7 @@ def run_mapping_pipeline(x, config, params, band_hz=None):
     output = tfmap.map_row(x, band_hz, params)
 
     stages = mapping_stages(x.size, params, band_hz)
-    if config.accelerators == 0:
-        total, per_stage = _split_ticks(stages, 1)
-    else:
-        total, per_stage = _split_ticks(stages, config.accelerators)
+    total, per_stage = _split_ticks(stages, config.accelerators)
     report = TickReport(
         total_ticks=total,
         per_stage_ticks=per_stage,

@@ -31,11 +31,3 @@ def realization0(default_config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-@pytest.fixture
-def restore_backend():
-    """Put the compute backend back after a test that switches it."""
-    before = g.current_backend()
-    yield
-    g.use_backend(before)

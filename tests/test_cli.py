@@ -126,6 +126,30 @@ class TestSignalCsv:
             read_signal_csv(path)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["map", "despike"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e308"])
+def test_unusable_sample_exits_invalid(tmp_path, capsys, command, bad):
+    # channel 2 at sample 500, which sits on line 503 after the two header lines
+    signal, _ = g.build_realization(g.SimConfig(), 0)
+    path = tmp_path / "bad.csv"
+    write_signal_csv(path, signal)
+    lines = path.read_text().splitlines()
+    row = lines[502].split(",")
+    row[1] = bad
+    lines[502] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    code = main([command, str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    if bad == "1e308":
+        # finite on disk; its energy overflows inside the analysis
+        assert "energy" in err and "not finite" in err
+    else:
+        assert "line 503: non-finite value" in err
+
+
 class TestSimulateCommand:
     def test_writes_one_pair_per_realization(self, tmp_path):
         config = write_config(tmp_path)

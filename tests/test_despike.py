@@ -126,6 +126,14 @@ class TestDetection:
         with pytest.raises(NoDetectionError):
             detect_oscillation_center(coeffs, 45.0, FS)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_energy_raises_value_error(self, db4):
+        x = np.zeros(512)
+        x[200] = 1e308
+        coeffs = swt_decompose(x, db4, 5)
+        with pytest.raises(ValueError, match="not finite"):
+            detect_oscillation_center(coeffs, 45.0, FS)
+
     def test_separate_propagates_no_detection(self):
         with pytest.raises(NoDetectionError):
             separate(np.zeros(512), 45.0, FS)

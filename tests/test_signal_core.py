@@ -102,6 +102,13 @@ class TestMultiChannelSignal:
         with pytest.raises(ValueError):
             MultiChannelSignal(0.0, ("a",), np.zeros((1, 10)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        data = np.zeros((2, 10))
+        data[1, 7] = bad
+        with pytest.raises(ValueError, match="channel index 1, sample 7"):
+            MultiChannelSignal(512.0, ("a", "b"), data)
+
     def test_labels_coerced_to_strings(self):
         sig = MultiChannelSignal(512.0, (1, 2), np.zeros((2, 4)))
         assert sig.channel_labels == ("1", "2")

@@ -295,26 +295,6 @@ class TestWaveletCoefficients:
         assert (1, "approx") in seen and (2, "detail") in seen
 
 
-@pytest.mark.skipif(
-    "numba" not in __import__("gammasep").available_backends(),
-    reason="numba not installed",
-)
-def test_transform_identical_across_backends(db4, rng, restore_backend):
-    import gammasep as g
-
-    x = rng.standard_normal(333)
-    g.use_backend("numpy")
-    ref = swt_decompose(x, db4, 5)
-    ref_back = iswt_reconstruct(ref, db4)
-    g.use_backend("numba")
-    jit = swt_decompose(x, db4, 5)
-    jit_back = iswt_reconstruct(jit, db4)
-    for level in range(5):
-        assert np.array_equal(ref.details[level], jit.details[level])
-        assert np.array_equal(ref.approximations[level], jit.approximations[level])
-    assert np.array_equal(ref_back, jit_back)
-
-
 def test_strided_conv_equals_stuffed_filter_conv(db4, rng):
     x = rng.standard_normal(96)
     for level in (2, 3):

@@ -255,6 +255,13 @@ class TestNormalizeByLowBand:
         out = normalize_by_low_band(np.zeros(1024), np.zeros(1024), FS)
         assert np.all(out == 0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_low_band_raises(self):
+        x = np.zeros(1024)
+        x[500] = 1e308
+        with pytest.raises(ValueError, match="not finite"):
+            normalize_by_low_band(np.zeros(1024), x, FS)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             normalize_by_low_band(np.zeros(10), np.zeros(11), FS)

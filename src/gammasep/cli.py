@@ -273,13 +273,16 @@ def cmd_despike(input_path, config):
     split_error = 0.0
     for ch in range(signal.n_channels):
         freq = _freq_for_channel(config, ch)
-        result = despike.separate(
-            signal.data[ch],
-            freq,
-            signal.sample_rate_hz,
-            filters,
-            levels=config.levels,
-        )
+        try:
+            result = despike.separate(
+                signal.data[ch],
+                freq,
+                signal.sample_rate_hz,
+                filters,
+                levels=config.levels,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{signal.channel_labels[ch]}: {exc}") from None
         osc_rows.append(result.oscillatory)
         trans_rows.append(result.transient)
         recombined = result.oscillatory + result.transient
@@ -353,9 +356,7 @@ def cmd_bench(config):
     sim = config.sim_config()
     workload, _ = simulate.build_realization(sim, 0)
     pipeline_configs = [
-        tickmodel.PipelineConfig(
-            accelerators=a, label=f"accel{a}", data_capacity=config.n_samples
-        )
+        tickmodel.PipelineConfig(accelerators=a, data_capacity=config.n_samples)
         for a in config.accelerators
     ]
     report = tickmodel.benchmark_report(

@@ -114,11 +114,13 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
             f"coefficients cover {coeffs.levels} levels, mask needs {max(scales)}"
         )
     energy = np.zeros(coeffs.n_samples)
-    for level in scales:
-        d = coeffs.details[level - 1]
-        energy += np.roll(d * d, -analysis_advance(filter_length, level))
     width = min(width, coeffs.n_samples)
-    smoothed = circular_conv(energy, np.full(width, 1.0 / width))
+    # an overflow is reported below as a ValueError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in scales:
+            d = coeffs.details[level - 1]
+            energy += np.roll(d * d, -analysis_advance(filter_length, level))
+        smoothed = circular_conv(energy, np.full(width, 1.0 / width))
     smoothed = np.roll(smoothed, -((width - 1) // 2))
     peak = smoothed.max()
     if not np.isfinite(peak):

@@ -241,8 +241,10 @@ def normalize_by_low_band(band_energy, x_original, sample_rate_hz):
         raise ValueError(
             f"shape mismatch: {band_energy.shape} vs {x_original.shape}"
         )
-    low = bandpass(x_original, LOW_BAND_HZ, sample_rate_hz)
-    low_energy = envelope_smooth(low * low, SMOOTH_WIDTH)
+    # an overflow is reported below as a ValueError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = bandpass(x_original, LOW_BAND_HZ, sample_rate_hz)
+        low_energy = envelope_smooth(low * low, SMOOTH_WIDTH)
     if not np.isfinite(low_energy).all():
         raise ValueError("low-band energy is not finite; check the input scale")
     floor = RAMP_FRACTION * np.max(low_energy) if low_energy.size else 0.0
@@ -277,11 +279,17 @@ class SpatioTemporalMap:
 
 
 def map_row(x, band_hz, params):
-    """Single-channel version of the map chain; returns one row."""
-    filtered = bandpass(x, band_hz, params.sample_rate_hz)
-    response = morlet_transform(filtered, params)
-    band_energy = np.mean(np.abs(response) ** 2, axis=0)
-    smoothed = envelope_smooth(band_energy, SMOOTH_WIDTH)
+    """Single-channel version of the map chain; returns one row.
+
+    Raises ValueError when the band energy or the low-band energy overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        filtered = bandpass(x, band_hz, params.sample_rate_hz)
+        response = morlet_transform(filtered, params)
+        band_energy = np.mean(np.abs(response) ** 2, axis=0)
+        smoothed = envelope_smooth(band_energy, SMOOTH_WIDTH)
+    if not np.isfinite(smoothed).all():
+        raise ValueError("band energy is not finite; check the input scale")
     return normalize_by_low_band(smoothed, x, params.sample_rate_hz)
 
 
@@ -302,7 +310,12 @@ def spatiotemporal_map(signal, band_hz, params=None):
         params = MorletParams.for_band(
             band_hz, signal.sample_rate_hz, w0=params.w0, s=params.s
         )
-    rows = [map_row(signal.data[ch], band_hz, params) for ch in range(signal.n_channels)]
+    rows = []
+    for ch in range(signal.n_channels):
+        try:
+            rows.append(map_row(signal.data[ch], band_hz, params))
+        except ValueError as exc:
+            raise ValueError(f"{signal.channel_labels[ch]}: {exc}") from None
     return SpatioTemporalMap(
         values=np.vstack(rows),
         band_hz=(float(low), float(high)),

@@ -28,9 +28,6 @@ def test_criterion_1_perfect_reconstruction():
     """100 random length-5000 signals survive decompose + reconstruct."""
     filters = wavelet_filters("db4")
     rng = np.random.default_rng(1)
-    # warm up any lazily compiled kernels outside the timed region
-    iswt_reconstruct(swt_decompose(rng.standard_normal(5000), filters, 5), filters)
-
     start = time.perf_counter()
     for _ in range(100):
         x = rng.standard_normal(5000)

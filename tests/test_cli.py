@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,8 +127,6 @@ class TestSignalCsv:
             read_signal_csv(path)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("command", ["map", "despike"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "1e308"])
 def test_unusable_sample_exits_invalid(tmp_path, capsys, command, bad):
@@ -140,12 +139,15 @@ def test_unusable_sample_exits_invalid(tmp_path, capsys, command, bad):
     row[1] = bad
     lines[502] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
-    code = main([command, str(path), "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_INVALID
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     if bad == "1e308":
         # finite on disk; its energy overflows inside the analysis
-        assert "energy" in err and "not finite" in err
+        assert "ch2" in err and "energy" in err and "not finite" in err
     else:
         assert "line 503: non-finite value" in err
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gammasep as g
 from gammasep.despike import (
@@ -126,7 +128,6 @@ class TestDetection:
         with pytest.raises(NoDetectionError):
             detect_oscillation_center(coeffs, 45.0, FS)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_energy_raises_value_error(self, db4):
         x = np.zeros(512)
         x[200] = 1e308
@@ -215,6 +216,21 @@ class TestSeparate:
             result = separate(signal.data[ch], ct.burst_freq_hz, FS)
             recombined = result.oscillatory + result.transient
             assert np.max(np.abs(recombined - signal.data[ch])) < 1e-9
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(64, 4096),
+        seed=st.integers(0, 2**32 - 1),
+        decade=st.integers(-6, 6),
+        freq=st.sampled_from([45.0, 55.0, 85.0]),
+    )
+    def test_parts_sum_to_any_input(self, n, seed, decade, freq):
+        x = np.random.default_rng(seed).standard_normal(n) * 10.0**decade
+        result = separate(x, freq, FS)
+        recombined = result.oscillatory + result.transient
+        assert np.max(np.abs(recombined - x)) <= 1e-9 * np.max(np.abs(x))
+        window = result.mask_used.window
+        assert 0 <= window.start_sample < window.end_sample <= n
 
     def test_clean_separated_channel_recovers_the_burst(self):
         config = g.SimConfig(snr_db=math.inf, n_realizations=2)

@@ -255,7 +255,6 @@ class TestNormalizeByLowBand:
         out = normalize_by_low_band(np.zeros(1024), np.zeros(1024), FS)
         assert np.all(out == 0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_low_band_raises(self):
         x = np.zeros(1024)
         x[500] = 1e308

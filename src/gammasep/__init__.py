@@ -57,7 +57,6 @@ from .tfmap import (
     morlet_kernel,
     morlet_transform,
     normalize_by_low_band,
-    pseudo_frequency,
     scale_for_frequency,
     scales_for_band,
     spatiotemporal_map,
@@ -120,7 +119,6 @@ __all__ = [
     "ms_to_samples",
     "normalize_by_low_band",
     "oscillation_duration_ms",
-    "pseudo_frequency",
     "quantize_microvolts",
     "run_mapping_pipeline",
     "run_pipeline",

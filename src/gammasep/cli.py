@@ -43,21 +43,15 @@ class SignalFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything tunable from the command line or a JSON config file."""
+    """Everything tunable from the command line or a JSON config file.
 
-    sample_rate_hz: float = 512.0
-    n_samples: int = 5000
-    burst_freqs_hz: tuple = (45.0, 55.0, 85.0)
-    overlap_regimes: tuple = ("separated", "overlapped", "fully_overlapped")
-    snr_db: float = 5.0
-    n_realizations: int = 200
-    rng_seed: int = 0
-    noise_exponent: float = 1.0
-    burst_amplitude_uv: float = 50.0
-    transient_amplitude_uv: float = 100.0
-    transient_width_ms: float = 20.0
+    The simulation settings live in `sim`; a config file gives them as
+    top-level keys named after the `SimConfig` fields.
+    """
+
+    sim: simulate.SimConfig = simulate.SimConfig()
     wavelet: str = "db4"
-    levels: int = 5
+    levels: int = despike.DEFAULT_LEVELS
     target_freq_hz: tuple = (85.0,)
     band_hz: tuple = (80.0, 90.0)
     k_sigma: float = tfmap.DEFAULT_K_SIGMA
@@ -65,24 +59,9 @@ class RunConfig:
     bench_repetitions: int = 200
     out_dir: str = "out"
 
-    def sim_config(self):
-        return simulate.SimConfig(
-            sample_rate_hz=self.sample_rate_hz,
-            n_samples=self.n_samples,
-            burst_freqs_hz=self.burst_freqs_hz,
-            overlap_regimes=self.overlap_regimes,
-            snr_db=self.snr_db,
-            n_realizations=self.n_realizations,
-            rng_seed=self.rng_seed,
-            noise_exponent=self.noise_exponent,
-            burst_amplitude_uv=self.burst_amplitude_uv,
-            transient_amplitude_uv=self.transient_amplitude_uv,
-            transient_width_ms=self.transient_width_ms,
-        )
-
 
 def load_config(path):
-    """RunConfig from a JSON file; unknown keys are rejected."""
+    """RunConfig from a JSON file; unknown keys and bad settings are rejected."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -91,22 +70,22 @@ def load_config(path):
         raise SignalFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise SignalFormatError(f"{path}: config must be a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    sim_keys = {f.name for f in fields(simulate.SimConfig)}
+    run_keys = {f.name for f in fields(RunConfig)} - {"sim"}
+    unknown = sorted(set(raw) - sim_keys - run_keys)
     if unknown:
         raise SignalFormatError(f"{path}: unknown config keys {unknown}")
-    listy = {
-        "burst_freqs_hz",
-        "overlap_regimes",
-        "target_freq_hz",
-        "band_hz",
-        "accelerators",
-    }
-    cleaned = {
+    try:
+        sim = simulate.SimConfig(**{k: v for k, v in raw.items() if k in sim_keys})
+    except (TypeError, ValueError) as exc:
+        raise SignalFormatError(f"{path}: {exc}") from None
+    listy = {"target_freq_hz", "band_hz", "accelerators"}
+    rest = {
         key: tuple(value) if key in listy and isinstance(value, list) else value
         for key, value in raw.items()
+        if key in run_keys
     }
-    return RunConfig(**cleaned)
+    return RunConfig(sim=sim, **rest)
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +168,18 @@ def read_manifest(path):
     return out
 
 
-def write_map_pgm(path, energy_map, time_bin=PGM_TIME_BIN):
+def write_map_pgm(path, energy_map):
     """Map to an ASCII grayscale image, one row per channel.
 
-    Time is reduced by averaging fixed-size bins; gray levels ramp linearly
-    from zero to the map maximum.
+    Time is reduced by averaging PGM_TIME_BIN-sample bins; gray levels ramp
+    linearly from zero to the map maximum.
     """
     values = energy_map.values
     n_ch, n = values.shape
-    n_bins = -(-n // time_bin)
+    n_bins = -(-n // PGM_TIME_BIN)
     binned = np.zeros((n_ch, n_bins))
     for b in range(n_bins):
-        seg = values[:, b * time_bin : min((b + 1) * time_bin, n)]
+        seg = values[:, b * PGM_TIME_BIN : min((b + 1) * PGM_TIME_BIN, n)]
         binned[:, b] = seg.mean(axis=1)
     peak = binned.max()
     if peak > 0:
@@ -231,7 +210,7 @@ def _freq_for_channel(config, ch):
 def cmd_simulate(config):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sim = config.sim_config()
+    sim = config.sim
     for idx in range(sim.n_realizations):
         signal, truth = simulate.build_realization(sim, idx)
         stem = f"realization_{idx:03d}"
@@ -281,8 +260,8 @@ def cmd_despike(input_path, config):
                 filters,
                 levels=config.levels,
             )
-        except ValueError as exc:
-            raise ValueError(f"{signal.channel_labels[ch]}: {exc}") from None
+        except (despike.NoDetectionError, ValueError) as exc:
+            raise type(exc)(f"{signal.channel_labels[ch]}: {exc}") from None
         osc_rows.append(result.oscillatory)
         trans_rows.append(result.transient)
         recombined = result.oscillatory + result.transient
@@ -353,10 +332,9 @@ def cmd_map(input_path, config):
 def cmd_bench(config):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sim = config.sim_config()
-    workload, _ = simulate.build_realization(sim, 0)
+    workload, _ = simulate.build_realization(config.sim, 0)
     pipeline_configs = [
-        tickmodel.PipelineConfig(accelerators=a, data_capacity=config.n_samples)
+        tickmodel.PipelineConfig(accelerators=a, data_capacity=config.sim.n_samples)
         for a in config.accelerators
     ]
     report = tickmodel.benchmark_report(
@@ -439,13 +417,14 @@ def build_parser():
 
 def _merge_config(args):
     config = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
+    sim = {}
     if args.seed is not None:
-        overrides["rng_seed"] = args.seed
+        sim["rng_seed"] = args.seed
+    if getattr(args, "realizations", None) is not None:
+        sim["n_realizations"] = args.realizations
+    overrides = {"sim": replace(config.sim, **sim)} if sim else {}
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if getattr(args, "realizations", None) is not None:
-        overrides["n_realizations"] = args.realizations
     if getattr(args, "freq", None) is not None:
         overrides["target_freq_hz"] = args.freq
     if getattr(args, "band", None) is not None:

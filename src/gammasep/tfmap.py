@@ -48,7 +48,6 @@ __all__ = [
     "morlet_kernel",
     "morlet_transform",
     "normalize_by_low_band",
-    "pseudo_frequency",
     "scale_for_frequency",
     "scales_for_band",
     "spatiotemporal_map",
@@ -81,12 +80,12 @@ def band_for_target(target_freq_hz):
     return (float(target_freq_hz) - 5.0, float(target_freq_hz) + 5.0)
 
 
-def pseudo_frequency(a, sample_rate_hz, w0=DEFAULT_W0):
-    """Center frequency in Hz that a dilation value responds to."""
-    return sample_rate_hz * w0 / (2.0 * math.pi * a)
-
-
 def scale_for_frequency(freq_hz, sample_rate_hz, w0=DEFAULT_W0):
+    """Dilation whose pseudo-frequency is freq_hz: fs * w0 / (2 pi f).
+
+    The map is its own inverse, so passing a dilation returns the center
+    frequency in Hz that the dilation responds to.
+    """
     return sample_rate_hz * w0 / (2.0 * math.pi * freq_hz)
 
 
@@ -293,23 +292,17 @@ def map_row(x, band_hz, params):
     return normalize_by_low_band(smoothed, x, params.sample_rate_hz)
 
 
-def spatiotemporal_map(signal, band_hz, params=None):
+def spatiotemporal_map(signal, band_hz):
     """Normalized band-energy map of every channel of a signal.
 
-    When params is omitted, scales are laid out over the band at 1 Hz
-    pseudo-frequency spacing with the default w0 and s; an explicit params
-    value contributes w0 and s but the scales are still derived from the
-    band so rows always measure in-band energy.
+    Every row is `map_row` with `MorletParams.for_band`: the default w0 and
+    s, and scales at 1 Hz pseudo-frequency spacing over the band. A channel
+    whose energy overflows raises ValueError prefixed with its label.
     """
     low, high = band_hz
     if not 0 < low < high < signal.sample_rate_hz / 2.0:
         raise ValueError(f"band {band_hz} outside (0, Nyquist)")
-    if params is None:
-        params = MorletParams.for_band(band_hz, signal.sample_rate_hz)
-    else:
-        params = MorletParams.for_band(
-            band_hz, signal.sample_rate_hz, w0=params.w0, s=params.s
-        )
+    params = MorletParams.for_band(band_hz, signal.sample_rate_hz)
     rows = []
     for ch in range(signal.n_channels):
         try:

@@ -238,9 +238,6 @@ def run_mapping_pipeline(x, config, params, band_hz):
     Ticks are structural: they depend on the stage list, never on the data.
     """
     x = _admit(x, config)
-    params = MorletParams.for_band(
-        band_hz, params.sample_rate_hz, w0=params.w0, s=params.s
-    )
     output = tfmap.map_row(x, band_hz, params)
     stages = mapping_stages(x.size, params, band_hz)
     return output, _report(

@@ -2,7 +2,10 @@
 
 import json
 import math
+import re
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,10 +57,19 @@ def zero_signal_csv(tmp_path, n_channels=3, n=2000):
 class TestLoadConfig:
     def test_lists_become_tuples(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"burst_freqs_hz": [45.0], "overlap_regimes": ["separated"]}))
+        path.write_text(
+            json.dumps(
+                {
+                    "burst_freqs_hz": [45.0],
+                    "overlap_regimes": ["separated"],
+                    "band_hz": [40.0, 50.0],
+                }
+            )
+        )
         config = load_config(path)
-        assert config.burst_freqs_hz == (45.0,)
-        assert config.overlap_regimes == ("separated",)
+        assert config.sim.burst_freqs_hz == (45.0,)
+        assert config.sim.overlap_regimes == (g.OverlapRegime.SEPARATED,)
+        assert config.band_hz == (40.0, 50.0)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -80,6 +92,43 @@ class TestLoadConfig:
     def test_missing_file_raises_format_error(self, tmp_path):
         with pytest.raises(SignalFormatError):
             load_config(tmp_path / "absent.json")
+
+    def test_mistyped_simulation_value_names_the_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n_samples": "5000"}))
+        with pytest.raises(SignalFormatError, match="c.json"):
+            load_config(path)
+
+    def test_readme_example_lists_every_key_at_its_default(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        accepted = {f.name for f in fields(g.SimConfig)} | {
+            f.name for f in fields(RunConfig)
+        } - {"sim"}
+        assert len(accepted) == 19
+        assert set(json.loads(block)) == accepted - {"out_dir"}
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        assert load_config(path) == RunConfig()
+
+
+@pytest.mark.parametrize("command", ["simulate", "despike", "map", "bench"])
+def test_bad_simulation_setting_exits_invalid_naming_the_file(
+    tmp_path, capsys, command
+):
+    config = write_config(
+        tmp_path,
+        {"overlap_regimes": ["sideways", "overlapped", "fully_overlapped"]},
+        name="bad.json",
+    )
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    if command in ("despike", "map"):
+        argv.insert(1, zero_signal_csv(tmp_path))
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "bad.json" in err
+    assert "sideways" in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestSignalCsv:
@@ -176,7 +225,7 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         main(["simulate", "--config", config, "--out", str(out)])
         manifest = read_manifest(out / "realization_000.manifest")
-        sim = load_config(config).sim_config()
+        sim = load_config(config).sim
         _, truth = g.build_realization(sim, 0)
         ct = truth.channels[0]
         assert manifest["realization"] == "0"
@@ -192,7 +241,7 @@ class TestSimulateCommand:
         config = write_config(tmp_path)
         out = tmp_path / "out"
         main(["simulate", "--config", config, "--out", str(out)])
-        sim = load_config(config).sim_config()
+        sim = load_config(config).sim
         signal, _ = g.build_realization(sim, 1)
         back = read_signal_csv(out / "realization_001.csv")
         assert np.array_equal(back.data, signal.data)
@@ -313,7 +362,7 @@ class TestDespikeCommand:
         csv_path = zero_signal_csv(tmp_path)
         code = main(["despike", csv_path, "--out", str(tmp_path / "out")])
         assert code == EXIT_NO_DETECTION
-        assert "error" in capsys.readouterr().err
+        assert "error: ch1: no oscillatory energy" in capsys.readouterr().err
 
     def test_missing_input_exits_invalid(self, tmp_path, capsys):
         code = main(["despike", str(tmp_path / "nope.csv")])
@@ -471,12 +520,3 @@ class TestEndToEnd:
         )
         for name in ("map.csv", "detection.txt", "map.pgm"):
             assert (map_out / name).exists()
-
-
-def test_run_config_defaults_mirror_the_simulator():
-    run = RunConfig()
-    sim = run.sim_config()
-    assert sim.sample_rate_hz == 512.0
-    assert sim.n_samples == 5000
-    assert sim.n_realizations == 200
-    assert sim.burst_freqs_hz == (45.0, 55.0, 85.0)

@@ -23,7 +23,6 @@ from gammasep.tfmap import (
     morlet_kernel,
     morlet_transform,
     normalize_by_low_band,
-    pseudo_frequency,
     scale_for_frequency,
     scales_for_band,
     spatiotemporal_map,
@@ -50,21 +49,24 @@ class TestBandForTarget:
 
 
 class TestScales:
-    def test_pseudo_frequency_inverts_scale_for_frequency(self):
+    def test_scale_for_frequency_is_its_own_inverse(self):
         for freq in (40.0, 55.0, 85.0):
-            a = scale_for_frequency(freq, FS)
-            assert pseudo_frequency(a, FS) == pytest.approx(freq, abs=1e-9)
+            for w0 in (6.0, 5.0):
+                a = scale_for_frequency(freq, FS, w0)
+                assert a != pytest.approx(freq)
+                back = scale_for_frequency(a, FS, w0)
+                assert back == pytest.approx(freq, abs=1e-9)
 
     def test_band_tiled_at_one_hz(self):
         scales = scales_for_band(BAND, FS)
         assert len(scales) == 11
-        freqs = [pseudo_frequency(a, FS) for a in scales]
+        freqs = [scale_for_frequency(a, FS) for a in scales]
         np.testing.assert_allclose(freqs, np.arange(80.0, 91.0), atol=1e-9)
 
     def test_narrow_band_falls_back_to_the_midpoint(self):
         scales = scales_for_band((80.2, 80.8), FS)
         assert len(scales) == 1
-        assert pseudo_frequency(scales[0], FS) == pytest.approx(80.5, abs=1e-9)
+        assert scale_for_frequency(scales[0], FS) == pytest.approx(80.5, abs=1e-9)
 
     def test_rejects_bad_band(self):
         with pytest.raises(ValueError):
@@ -146,7 +148,7 @@ class TestMorletTransform:
         response = morlet_transform(sine(55.0), params)
         energies = np.mean(np.abs(response) ** 2, axis=1)
         best = params.scales[int(np.argmax(energies))]
-        assert pseudo_frequency(best, FS) == pytest.approx(55.0, abs=1.0)
+        assert scale_for_frequency(best, FS) == pytest.approx(55.0, abs=1.0)
 
     def test_interior_shifts_with_the_input(self):
         params = MorletParams.for_band(BAND, FS)

@@ -1,8 +1,9 @@
 """Numeric convolution kernels shared by the wavelet and mapping chains.
 
-The circular kernel accumulates taps in ascending order, one shifted copy of
-the input at a time, so its output is reproducible to the bit. The centered
-kernels ride ``np.convolve``.
+The circular kernel builds one wrap-padded copy of the input per call and
+accumulates the taps in ascending order, each as a product with a slice of
+that copy, so its output is reproducible to the bit. The centered kernels
+ride ``np.convolve``.
 """
 
 from __future__ import annotations
@@ -20,13 +21,31 @@ def circular_conv(x, taps, stride=1):
     """Circular convolution of x with taps spaced ``stride`` samples apart.
 
     ``y[i] = sum_m taps[m] * x[(i - m*stride) mod n]``
+
+    The taps span ``span = (k-1)*stride`` samples. The input is copied once
+    with its last ``span`` samples in front, ``xp[j] = x[(j - span) mod n]``,
+    so tap m reads the slice ``xp[span - m*stride : span - m*stride + n]``.
+    Taps wider than the signal (``span >= n``) wrap it more than once, and
+    the pad is then gathered modulo n. Products and sums are taken in
+    ascending tap order, starting from zeros.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     taps = np.ascontiguousarray(taps, dtype=np.float64)
     stride = int(stride)
+    if stride < 0:
+        raise ValueError(f"stride must be non-negative, got {stride}")
+    n = x.shape[0]
     y = np.zeros_like(x)
+    if n == 0:
+        return y
+    span = (taps.shape[0] - 1) * stride
+    if span < n:
+        xp = np.concatenate((x[n - span :], x))
+    else:
+        xp = np.take(x, np.arange(-span, n), mode="wrap")
     for m in range(taps.shape[0]):
-        y += taps[m] * np.roll(x, m * stride)
+        start = span - m * stride
+        y += taps[m] * xp[start : start + n]
     return y
 
 

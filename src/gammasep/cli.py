@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import despike, simulate, tfmap, tickmodel
 from .signal_core import MultiChannelSignal
-from .swt import wavelet_filters
+from .swt import wavelet_filters, wavelet_order
 
 __all__ = [
     "RunConfig",
@@ -55,9 +57,74 @@ class RunConfig:
     target_freq_hz: tuple = (85.0,)
     band_hz: tuple = (80.0, 90.0)
     k_sigma: float = tfmap.DEFAULT_K_SIGMA
-    accelerators: tuple = (0, 2)
+    accelerators: tuple = tickmodel.ACCELERATOR_COUNTS
     bench_repetitions: int = 200
     out_dir: str = "out"
+
+    def __post_init__(self):
+        """Check the analysis settings; lists become tuples.
+
+        Raises TypeError for a value of the wrong kind and ValueError for
+        one out of range, before any command reads or writes a file.
+        """
+        wavelet_order(self.wavelet)
+        _require_count("levels", self.levels)
+        _require_count("bench_repetitions", self.bench_repetitions)
+        targets = _number_tuple("target_freq_hz", self.target_freq_hz)
+        if not targets or min(targets) <= 0:
+            raise ValueError(
+                f"target_freq_hz must list positive frequencies, got {list(targets)}"
+            )
+        band = _number_tuple("band_hz", self.band_hz)
+        if len(band) != 2 or not 0 < band[0] < band[1]:
+            raise ValueError(
+                f"band_hz must be [low, high] with 0 < low < high, got {list(band)}"
+            )
+        _require_number("k_sigma", self.k_sigma)
+        if self.k_sigma <= 0:
+            raise ValueError(f"k_sigma must be positive, got {self.k_sigma}")
+        accelerators = _sequence("accelerators", self.accelerators)
+        for a in accelerators:
+            if not _is_integer(a) or a not in tickmodel.ACCELERATOR_COUNTS:
+                raise ValueError(
+                    "accelerators must each be one of "
+                    f"{list(tickmodel.ACCELERATOR_COUNTS)}, got {a!r}"
+                )
+        object.__setattr__(self, "target_freq_hz", targets)
+        object.__setattr__(self, "band_hz", band)
+        object.__setattr__(self, "accelerators", accelerators)
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_count(key, value):
+    if not _is_integer(value):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{key} must be >= 1, got {value}")
+
+
+def _sequence(key, value):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{key} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _require_number(key, value):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+
+
+def _number_tuple(key, value):
+    """`value`, a list or tuple of finite real numbers, as a tuple."""
+    value = _sequence(key, value)
+    for v in value:
+        _require_number(f"each {key} entry", v)
+    return value
 
 
 def load_config(path):
@@ -77,15 +144,9 @@ def load_config(path):
         raise SignalFormatError(f"{path}: unknown config keys {unknown}")
     try:
         sim = simulate.SimConfig(**{k: v for k, v in raw.items() if k in sim_keys})
+        return RunConfig(sim=sim, **{k: v for k, v in raw.items() if k in run_keys})
     except (TypeError, ValueError) as exc:
         raise SignalFormatError(f"{path}: {exc}") from None
-    listy = {"target_freq_hz", "band_hz", "accelerators"}
-    rest = {
-        key: tuple(value) if key in listy and isinstance(value, list) else value
-        for key, value in raw.items()
-        if key in run_keys
-    }
-    return RunConfig(sim=sim, **rest)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +470,7 @@ def build_parser():
     p_bench.add_argument(
         "--accel",
         type=int,
-        choices=(0, 2),
+        choices=tickmodel.ACCELERATOR_COUNTS,
         help="run a single accelerator configuration",
     )
     return parser

@@ -334,19 +334,20 @@ class BuildupDetection:
         return bool(self.channel_indices)
 
 
-def _first_sustained_run(above, run_length):
-    """Start of the earliest run of at least run_length consecutive True."""
-    best = -1
-    count = 0
-    for i, flag in enumerate(above):
-        if flag:
-            count += 1
-            if count == run_length:
-                best = i - run_length + 1
-                break
-        else:
-            count = 0
-    return best
+def _first_sustained_runs(above, run_length):
+    """Per row, start of the earliest run of at least run_length True; -1 if none.
+
+    A run of at least run_length starts where the first window of
+    run_length samples lies wholly above, so each window is counted from
+    one cumulative sum over the whole (rows, samples) matrix.
+    """
+    rows, n = above.shape
+    if n < run_length:
+        return np.full(rows, -1)
+    counts = np.zeros((rows, n + 1), dtype=np.int32)
+    np.cumsum(above, axis=1, dtype=np.int32, out=counts[:, 1:])
+    full = counts[:, run_length:] - counts[:, :-run_length] == run_length
+    return np.where(full.any(axis=1), full.argmax(axis=1), -1)
 
 
 def detect_buildup(energy_map, k_sigma=DEFAULT_K_SIGMA):
@@ -377,16 +378,13 @@ def detect_buildup(energy_map, k_sigma=DEFAULT_K_SIGMA):
         threshold = med + RAMP_FRACTION * (peak - med)
     above = values > threshold
 
-    starts = [
-        _first_sustained_run(above[ch], RUN_LENGTH)
-        for ch in range(values.shape[0])
-    ]
-    starts = [s for s in starts if s >= 0]
-    if not starts:
+    starts = _first_sustained_runs(above, RUN_LENGTH)
+    starts = starts[starts >= 0]
+    if starts.size == 0:
         return BuildupDetection(
             channel_indices=frozenset(), onset_sample=-1, peak_energy=peak
         )
-    onset = min(starts) + RUN_LENGTH - 1
+    onset = int(starts.min()) + RUN_LENGTH - 1
     horizon = ms_to_samples(CHANNEL_WINDOW_MS, energy_map.sample_rate_hz)
     window = slice(onset, min(onset + horizon, values.shape[1]))
     channels = frozenset(
@@ -394,6 +392,6 @@ def detect_buildup(energy_map, k_sigma=DEFAULT_K_SIGMA):
     )
     return BuildupDetection(
         channel_indices=channels,
-        onset_sample=int(onset),
+        onset_sample=onset,
         peak_energy=peak,
     )

@@ -35,6 +35,8 @@ __all__ = [
 
 QUANT_LOW_UV = -100.0
 QUANT_LEVELS = 250
+# schedules the model covers: sequential, and two parallel convolution units
+ACCELERATOR_COUNTS = (0, 2)
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class PipelineConfig:
     data_capacity: int = 5000
 
     def __post_init__(self):
-        if self.accelerators not in (0, 2):
+        if self.accelerators not in ACCELERATOR_COUNTS:
             raise ValueError(
                 f"accelerators must be 0 or 2, got {self.accelerators}"
             )

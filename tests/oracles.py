@@ -41,6 +41,29 @@ def loop_conv(x, taps):
     return out
 
 
+def roll_conv(x, taps, stride=1):
+    """Strided circular convolution as one rolled copy of x per tap.
+
+    Same ascending-tap accumulation from zeros as the kernel under test,
+    so the two agree bit for bit.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.zeros_like(x)
+    for m, t in enumerate(np.asarray(taps, dtype=np.float64)):
+        y += t * np.roll(x, m * stride)
+    return y
+
+
+def first_sustained_run(flags, run_length):
+    """Start of the earliest run of at least run_length True flags, else -1."""
+    count = 0
+    for i, flag in enumerate(flags):
+        count = count + 1 if flag else 0
+        if count == run_length:
+            return i - run_length + 1
+    return -1
+
+
 def direct_swt(x, dec_lo, dec_hi, levels, conv=wrap_conv):
     """Undecimated decomposition from the definition.
 

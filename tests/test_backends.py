@@ -1,12 +1,13 @@
 """Tests for the convolution kernels."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gammasep import backends
-from oracles import loop_conv
+from oracles import loop_conv, roll_conv
 
 _samples = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -53,6 +54,75 @@ def test_strided_circular_conv_equals_stuffed_taps_exactly(problem):
     assert np.array_equal(
         backends.circular_conv(x, taps, stride), loop_conv(x, stuffed)
     )
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: unlike ==, tells -0.0 from 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def half_silent(rng, n):
+    # exact zeros outside a burst, as in a despiked channel
+    x = np.zeros(n)
+    x[n // 3 : n // 2] = rng.standard_normal(n // 2 - n // 3)
+    return x
+
+
+@pytest.mark.parametrize("n", [5000, 30720])
+@pytest.mark.parametrize("stride", [1, 2, 4, 8, 16])
+def test_circular_conv_equals_rolled_copies_exactly(db4, rng, n, stride):
+    for x in (rng.standard_normal(n), half_silent(rng, n)):
+        for taps in (db4.dec_lo, db4.dec_hi, db4.rec_lo, db4.rec_hi):
+            assert same_bits(
+                backends.circular_conv(x, taps, stride), roll_conv(x, taps, stride)
+            )
+
+
+@pytest.mark.parametrize("n", [5000, 30720])
+@pytest.mark.parametrize("width", [77, 102])
+def test_detection_box_equals_rolled_copies_exactly(rng, n, width):
+    # the 150 ms and 200 ms boxes that smooth the detection energy at 512 Hz
+    energy = rng.standard_normal(n) ** 2
+    box = np.full(width, 1.0 / width)
+    assert same_bits(backends.circular_conv(energy, box), roll_conv(energy, box))
+
+
+def test_circular_conv_of_empty_input_is_empty():
+    y = backends.circular_conv(np.zeros(0), np.ones(8), 4)
+    assert y.shape == (0,)
+    assert y.dtype == np.float64
+
+
+def test_circular_conv_sums_from_positive_zero():
+    # -0.0 * 1.0 terms added to a zero start give +0.0, as the rolled sum does
+    x = np.full(8, -0.0)
+    taps = np.ones(3)
+    assert same_bits(backends.circular_conv(x, taps, 2), roll_conv(x, taps, 2))
+
+
+def test_circular_conv_casts_integer_and_strided_input(rng):
+    ints = np.arange(40)
+    taps = rng.standard_normal(5)
+    assert same_bits(
+        backends.circular_conv(ints, taps, 3), roll_conv(ints.astype(float), taps, 3)
+    )
+    view = rng.standard_normal(80)[::2]
+    assert same_bits(
+        backends.circular_conv(view, taps, 3), roll_conv(view.copy(), taps, 3)
+    )
+
+
+def test_circular_conv_leaves_its_input_alone(rng):
+    for n, stride in ((64, 1), (64, 4), (10, 16)):  # the last pad wraps twice
+        x = rng.standard_normal(n)
+        before = x.copy()
+        backends.circular_conv(x, rng.standard_normal(8), stride)
+        assert np.array_equal(x, before)
+
+
+def test_circular_conv_rejects_negative_stride():
+    with pytest.raises(ValueError, match="stride"):
+        backends.circular_conv(np.ones(8), np.ones(2), -1)
 
 
 def test_centered_conv_is_zero_phase_for_symmetric_taps(rng):

@@ -99,6 +99,34 @@ class TestLoadConfig:
         with pytest.raises(SignalFormatError, match="c.json"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("band_hz", 85, "band_hz must be a list"),
+            ("band_hz", [90.0, 80.0], "0 < low < high"),
+            ("band_hz", [80.0, 85.0, 90.0], "0 < low < high"),
+            ("band_hz", [80.0, "90"], "must be a number"),
+            ("levels", "5", "levels must be an integer"),
+            ("levels", 0, "levels must be >= 1"),
+            ("target_freq_hz", 85.0, "target_freq_hz must be a list"),
+            ("target_freq_hz", [], "positive frequencies"),
+            ("target_freq_hz", [85.0, -5.0], "positive frequencies"),
+            ("k_sigma", "6", "k_sigma must be a number"),
+            ("k_sigma", 0.0, "k_sigma must be positive"),
+            ("accelerators", [1], "one of \\[0, 2\\]"),
+            ("accelerators", 2, "accelerators must be a list"),
+            ("bench_repetitions", 2.5, "bench_repetitions must be an integer"),
+            ("bench_repetitions", 0, "bench_repetitions must be >= 1"),
+            ("wavelet", "db9", "unknown wavelet"),
+            ("wavelet", 4, "unknown wavelet"),
+        ],
+    )
+    def test_bad_analysis_setting_names_the_file(self, tmp_path, key, value, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(SignalFormatError, match=f"c.json: .*{message}"):
+            load_config(path)
+
     def test_readme_example_lists_every_key_at_its_default(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
@@ -129,6 +157,21 @@ def test_bad_simulation_setting_exits_invalid_naming_the_file(
     assert "bad.json" in err
     assert "sideways" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [("map", {"band_hz": 85}), ("despike", {"levels": "5"})],
+)
+def test_bad_analysis_setting_exits_invalid_before_writing(
+    tmp_path, capsys, command, setting
+):
+    config = write_config(tmp_path, setting, name="bad.json")
+    out = tmp_path / "out"
+    argv = [command, zero_signal_csv(tmp_path), "--config", config, "--out", str(out)]
+    assert main(argv) == EXIT_INVALID
+    assert "bad.json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSignalCsv:

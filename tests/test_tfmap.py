@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gammasep as g
 from gammasep.tfmap import (
@@ -26,8 +29,10 @@ from gammasep.tfmap import (
     scale_for_frequency,
     scales_for_band,
     spatiotemporal_map,
+    _first_sustained_runs,
 )
 from frozen import NOISE_MAP_MAX_OVER_MEDIAN
+from oracles import first_sustained_run
 
 FS = 512.0
 BAND = (80.0, 90.0)
@@ -475,6 +480,58 @@ class TestDetectBuildup:
             channel_indices=frozenset(), onset_sample=-1, peak_energy=0.0
         )
         assert not detection.detected
+
+
+def oracle_runs(above, run_length):
+    return [first_sustained_run(row, run_length) for row in above]
+
+
+@st.composite
+def flag_matrices(draw):
+    rows = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 3 * RUN_LENGTH))
+    # mostly-True rows, so runs near RUN_LENGTH are common
+    density = draw(st.sampled_from([0.5, 0.9, 0.97, 0.99, 1.0]))
+    uniform = draw(arrays(np.float64, (rows, n), elements=st.floats(0.0, 1.0)))
+    return uniform < density
+
+
+class TestFirstSustainedRuns:
+    @settings(deadline=None, max_examples=300)
+    @given(flag_matrices(), st.sampled_from([1, 2, 5, RUN_LENGTH]))
+    def test_matches_the_plain_loop(self, above, run_length):
+        got = _first_sustained_runs(above, run_length)
+        assert got.tolist() == oracle_runs(above, run_length)
+
+    @pytest.mark.parametrize(
+        "first, last, expected",
+        [
+            (0, RUN_LENGTH, 0),  # exactly RUN_LENGTH, at the start
+            (0, RUN_LENGTH - 1, -1),  # one sample short, at the start
+            (200 - RUN_LENGTH, 200, 200 - RUN_LENGTH),  # exactly, at the end
+            (201 - RUN_LENGTH, 200, -1),  # one short, at the end
+            (50, 50 + RUN_LENGTH, 50),
+            (50, 49 + RUN_LENGTH, -1),
+            (0, 200, 0),
+        ],
+    )
+    def test_run_edges(self, first, last, expected):
+        above = np.zeros((2, 200), dtype=bool)
+        above[1, first:last] = True
+        assert _first_sustained_runs(above, RUN_LENGTH).tolist() == [-1, expected]
+        assert oracle_runs(above, RUN_LENGTH) == [-1, expected]
+
+    @pytest.mark.parametrize("n", [0, 1, RUN_LENGTH - 1])
+    def test_rows_shorter_than_a_run_have_none(self, n):
+        above = np.ones((3, n), dtype=bool)
+        assert _first_sustained_runs(above, RUN_LENGTH).tolist() == [-1, -1, -1]
+
+    def test_earliest_run_wins_over_a_longer_later_one(self):
+        above = np.zeros((1, 400), dtype=bool)
+        above[0, 10:10 + RUN_LENGTH - 1] = True
+        above[0, 100:100 + RUN_LENGTH] = True
+        above[0, 200:400] = True
+        assert _first_sustained_runs(above, RUN_LENGTH).tolist() == [100]
 
 
 def test_noise_only_maps_stay_flat(default_config):

@@ -23,6 +23,16 @@ under the floor later, so the map peak is band peak / (RAMP_FRACTION *
 low-band peak), and RAMP_FRACTION of that is band peak / low-band peak. A
 channel crosses once its band energy has climbed to its plateau against
 the undiminished divisor.
+
+A row is computed only on its input's non-zero support, widened on each
+side by the summed spans of the chain's filters (band-pass, longest Morlet
+kernel, smoother), and is exact zeros elsewhere. That crop is exact, not an
+approximation: every output that depends on a non-zero sample is the same
+full-length convolution dot over the same operands, the moving average's
+cumulative sum over the zeros left out adds exact +0.0, and the peak
+low-band energy that sets the divisor floor is unchanged, so the full-row
+chain yields exact zeros outside the crop as well. A despiked channel is
+zero away from its burst, so most of its row is never filtered.
 """
 
 from __future__ import annotations
@@ -132,6 +142,11 @@ class MorletParams:
         )
 
 
+def _morlet_radius(params, a):
+    """Half-length of `morlet_kernel(params, a)`: samples each side of center."""
+    return int(math.floor(a * params.s * math.sqrt(-2.0 * math.log(_ENVELOPE_FLOOR))))
+
+
 def morlet_kernel(params, a):
     """Discrete complex kernel at one dilation, unit sample spacing.
 
@@ -140,7 +155,7 @@ def morlet_kernel(params, a):
     """
     if a <= 0:
         raise ValueError(f"dilation must be positive, got {a}")
-    radius = int(math.floor(a * params.s * math.sqrt(-2.0 * math.log(_ENVELOPE_FLOOR))))
+    radius = _morlet_radius(params, a)
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     u = t / a
     return (1.0 / a) * np.exp(1j * params.w0 * u) * np.exp(-(u * u) / (2.0 * params.s ** 2))
@@ -155,6 +170,12 @@ def morlet_transform(x, params):
     return np.vstack(rows)
 
 
+def _bandpass_length(sample_rate_hz):
+    """Tap count of `bandpass_taps`, odd, for a 5 Hz transition width."""
+    n_taps = int(math.ceil(3.3 * sample_rate_hz / 5.0))
+    return n_taps if n_taps % 2 else n_taps + 1
+
+
 def bandpass_taps(band_hz, sample_rate_hz):
     """Linear-phase band-pass FIR taps: windowed ideal response.
 
@@ -167,10 +188,7 @@ def bandpass_taps(band_hz, sample_rate_hz):
         raise ValueError(
             f"band must satisfy 0 < low < high < {nyquist}, got {band_hz}"
         )
-    transition_hz = 5.0
-    n_taps = int(math.ceil(3.3 * sample_rate_hz / transition_hz))
-    if n_taps % 2 == 0:
-        n_taps += 1
+    n_taps = _bandpass_length(sample_rate_hz)
     m = np.arange(n_taps) - (n_taps - 1) / 2.0
     ideal = (2.0 * high / sample_rate_hz) * np.sinc(2.0 * high * m / sample_rate_hz) - (
         2.0 * low / sample_rate_hz
@@ -277,19 +295,61 @@ class SpatioTemporalMap:
         object.__setattr__(self, "band_hz", tuple(float(b) for b in self.band_hz))
 
 
+def _map_reach(params):
+    """Samples past a row's non-zero support that the map chain can touch.
+
+    Every filter counts at its full span (length - 1 for the convolutions,
+    SMOOTH_WIDTH for the moving average). The band path is the band-pass,
+    the longest Morlet kernel and the smoother; the low-band path is the
+    band-pass and the smoother. Both band-passes have `_bandpass_length`
+    taps, so the band path reaches further: 658 samples for 80-90 Hz and
+    722 for 40-50 Hz at 512 Hz.
+    """
+    bandpass_span = _bandpass_length(params.sample_rate_hz) - 1
+    morlet_span = 2 * _morlet_radius(params, max(params.scales))
+    return bandpass_span + morlet_span + SMOOTH_WIDTH
+
+
 def map_row(x, band_hz, params):
     """Single-channel version of the map chain; returns one row.
 
-    Raises ValueError when the band energy or the low-band energy overflows.
+    The chain runs only on the window [first non-zero - reach, last
+    non-zero + 1 + reach), clipped to the row, where reach is the summed
+    span of the chain's filters (`_map_reach`); every other sample is an
+    exact zero. A despiked channel is zero away from its burst, so most of
+    its row is never filtered; a raw channel's window is the whole row.
+
+    The result is bit-identical to running the chain over the whole row.
+    Within the window every output that depends on a non-zero input is the
+    same full-length `np.convolve` dot over the same operands, and the
+    moving average's cumulative sum over the zeros cut off in front adds
+    exact +0.0. The peak low-band energy, which sets the divisor floor, is
+    therefore the same, and outside the window the full-row chain yields
+    exact zeros too. An all-zero row maps to zeros.
+
+    Raises ValueError for empty or non-1-D input, and when the band energy
+    or the low-band energy overflows.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"map row must be a non-empty 1-D sequence, got shape {x.shape}")
+    row = np.zeros_like(x)
+    support = np.flatnonzero(x)
+    if support.size == 0:
+        return row
+    reach = _map_reach(params)
+    lo = max(int(support[0]) - reach, 0)
+    hi = min(int(support[-1]) + 1 + reach, x.size)
+    window = x[lo:hi]
     with np.errstate(over="ignore", invalid="ignore"):
-        filtered = bandpass(x, band_hz, params.sample_rate_hz)
+        filtered = bandpass(window, band_hz, params.sample_rate_hz)
         response = morlet_transform(filtered, params)
         band_energy = np.mean(np.abs(response) ** 2, axis=0)
         smoothed = envelope_smooth(band_energy, SMOOTH_WIDTH)
     if not np.isfinite(smoothed).all():
         raise ValueError("band energy is not finite; check the input scale")
-    return normalize_by_low_band(smoothed, x, params.sample_rate_hz)
+    row[lo:hi] = normalize_by_low_band(smoothed, window, params.sample_rate_hz)
+    return row
 
 
 def spatiotemporal_map(signal, band_hz):

@@ -4,10 +4,18 @@ Everything here is written against the mathematical definitions directly,
 sharing no convolution or masking code with the package under test. The
 undecimated transform builds explicit zero-stuffed filters and convolves
 via wrapped padding; masking and detection are index arithmetic on plain
-arrays. Slow and obvious on purpose.
+arrays. Slow and obvious on purpose. The exception is `full_map_row`,
+the map chain run over every sample of a row: it is built from the
+package's own filter stages, because it is the reference for the crop that
+`tfmap.map_row` makes, not for the stages themselves.
 """
 
 import numpy as np
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: unlike ==, tells -0.0 from 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def stuffed_filter(taps, level):
@@ -176,3 +184,23 @@ def placed_burst(truth_channel, config):
     start = truth_channel.burst_window.start_sample
     out[start:start + burst.size] = burst
     return out
+
+
+def full_map_row(x, band_hz, params):
+    """One map row with the chain run over the whole input, zeros included."""
+    from gammasep.tfmap import (
+        SMOOTH_WIDTH,
+        bandpass,
+        envelope_smooth,
+        morlet_transform,
+        normalize_by_low_band,
+    )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        filtered = bandpass(x, band_hz, params.sample_rate_hz)
+        response = morlet_transform(filtered, params)
+        band_energy = np.mean(np.abs(response) ** 2, axis=0)
+        smoothed = envelope_smooth(band_energy, SMOOTH_WIDTH)
+    if not np.isfinite(smoothed).all():
+        raise ValueError("band energy is not finite; check the input scale")
+    return normalize_by_low_band(smoothed, x, params.sample_rate_hz)

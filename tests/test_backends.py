@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gammasep import backends
-from oracles import loop_conv, roll_conv
+from oracles import loop_conv, roll_conv, same_bits
 
 _samples = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -54,11 +54,6 @@ def test_strided_circular_conv_equals_stuffed_taps_exactly(problem):
     assert np.array_equal(
         backends.circular_conv(x, taps, stride), loop_conv(x, stuffed)
     )
-
-
-def same_bits(a, b):
-    """Equal shape, dtype and bytes: unlike ==, tells -0.0 from 0.0."""
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def half_silent(rng, n):

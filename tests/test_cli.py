@@ -244,6 +244,21 @@ def test_unusable_sample_exits_invalid(tmp_path, capsys, command, bad):
         assert "line 503: non-finite value" in err
 
 
+def test_overflow_inside_a_zero_channel_exits_invalid(tmp_path, capsys):
+    # a despiked-like file: exact zeros, one huge sample in ch2
+    data = np.zeros((3, 2000))
+    data[1, 1000] = 1e308
+    path = tmp_path / "bad.csv"
+    write_signal_csv(path, MultiChannelSignal(FS, ("ch1", "ch2", "ch3"), data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["map", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "ch2: band energy is not finite" in err
+
+
 class TestSimulateCommand:
     def test_writes_one_pair_per_realization(self, tmp_path):
         config = write_config(tmp_path)

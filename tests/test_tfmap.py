@@ -30,9 +30,10 @@ from gammasep.tfmap import (
     scales_for_band,
     spatiotemporal_map,
     _first_sustained_runs,
+    _map_reach,
 )
 from frozen import NOISE_MAP_MAX_OVER_MEDIAN
-from oracles import first_sustained_run
+from oracles import first_sustained_run, full_map_row, same_bits
 
 FS = 512.0
 BAND = (80.0, 90.0)
@@ -325,6 +326,83 @@ class TestMapRow:
         assert np.max(np.abs(whole - parts)) > 0.5 * whole.max()
 
 
+TARGET_BANDS = [band_for_target(f) for f in (45.0, 55.0, 85.0)]
+
+
+@st.composite
+def sparse_rows(draw):
+    """Zero rows with one random-normal stretch, touching either edge or not."""
+    n = draw(st.integers(600, 8000))
+    length = draw(st.integers(1, n))
+    start = draw(
+        st.one_of(st.just(0), st.just(n - length), st.integers(0, n - length))
+    )
+    amplitude = 10.0 ** draw(st.floats(-6.0, 6.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.zeros(n)
+    x[start:start + length] = (
+        amplitude * np.random.default_rng(seed).standard_normal(length)
+    )
+    return x
+
+
+class TestSupportLocalRow:
+    """map_row filters only near the non-zero support, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "band, reach", zip(TARGET_BANDS, [722, 696, 658])
+    )
+    def test_reach_sums_the_filter_spans(self, band, reach):
+        params = MorletParams.for_band(band, FS)
+        longest = max(morlet_kernel(params, a).size for a in params.scales)
+        band_path = bandpass_taps(band, FS).size - 1 + longest - 1 + SMOOTH_WIDTH
+        low_path = bandpass_taps(LOW_BAND_HZ, FS).size - 1 + SMOOTH_WIDTH
+        assert _map_reach(params) == max(band_path, low_path) == reach
+
+    @settings(deadline=None, max_examples=100)
+    @given(sparse_rows(), st.sampled_from(TARGET_BANDS))
+    def test_matches_the_full_row(self, x, band):
+        params = MorletParams.for_band(band, FS)
+        assert same_bits(map_row(x, band, params), full_map_row(x, band, params))
+
+    @pytest.mark.parametrize("band", TARGET_BANDS)
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_despiked_protocol_channels_match(self, default_config, band, index):
+        signal, truth = g.build_realization(default_config, index)
+        params = MorletParams.for_band(band, FS)
+        for ch in range(signal.n_channels):
+            x = g.separate(
+                signal.data[ch], truth.channels[ch].burst_freq_hz, FS
+            ).oscillatory
+            assert np.count_nonzero(x) < x.size // 2
+            assert same_bits(map_row(x, band, params), full_map_row(x, band, params))
+
+    @pytest.mark.parametrize("band", TARGET_BANDS)
+    def test_raw_row_matches(self, realization0, band):
+        signal, _ = realization0
+        params = MorletParams.for_band(band, FS)
+        x = signal.data[0]
+        assert same_bits(map_row(x, band, params), full_map_row(x, band, params))
+
+    def test_zero_row_maps_to_zeros(self):
+        params = MorletParams.for_band(BAND, FS)
+        row = map_row(np.zeros(1500), BAND, params)
+        assert same_bits(row, np.zeros(1500))
+        assert same_bits(row, full_map_row(np.zeros(1500), BAND, params))
+
+    def test_rejects_empty_input(self):
+        params = MorletParams.for_band(BAND, FS)
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            map_row([], BAND, params)
+
+    def test_rejects_2d_input(self):
+        params = MorletParams.for_band(BAND, FS)
+        x = np.zeros((2, 1000))
+        x[1, 500] = 1.0
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            map_row(x, BAND, params)
+
+
 class TestSpatioTemporalMap:
     def test_shape_and_metadata(self, realization0):
         signal, _ = realization0
@@ -341,6 +419,15 @@ class TestSpatioTemporalMap:
         np.testing.assert_array_equal(
             energy_map.values[1], map_row(signal.data[1], BAND, params)
         )
+
+    def test_overflow_inside_a_zero_row_names_the_channel(self):
+        data = np.zeros((3, 5000))
+        data[1, 2500] = 1e308
+        signal = g.MultiChannelSignal(
+            sample_rate_hz=FS, channel_labels=("ch1", "ch2", "ch3"), data=data
+        )
+        with pytest.raises(ValueError, match="^ch2: band energy is not finite"):
+            spatiotemporal_map(signal, BAND)
 
     def test_rejects_band_beyond_nyquist(self, realization0):
         signal, _ = realization0

@@ -42,7 +42,6 @@ from .swt import (
     iswt_reconstruct,
     level_for_frequency,
     swt_decompose,
-    upsample_filter,
     wavelet_filters,
 )
 from .tfmap import (
@@ -129,7 +128,6 @@ __all__ = [
     "spatiotemporal_map",
     "swt_decompose",
     "threshold_coeffs",
-    "upsample_filter",
     "wavelet_filters",
     "__version__",
 ]

@@ -304,8 +304,6 @@ def cmd_simulate(config):
 
 def cmd_despike(input_path, config):
     signal = read_signal_csv(input_path)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     filters = wavelet_filters(config.wavelet)
     osc_rows = []
     trans_rows = []
@@ -343,6 +341,10 @@ def cmd_despike(input_path, config):
             ]
         )
     mask_pairs.append(("max_split_error", repr(split_error)))
+    # every channel is computed before the directory exists, so a failure
+    # leaves no empty output directory behind
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, rows in (("oscillatory", osc_rows), ("transient", trans_rows)):
         write_signal_csv(
             out / f"{name}.csv",
@@ -358,10 +360,10 @@ def cmd_despike(input_path, config):
 
 def cmd_map(input_path, config):
     signal = read_signal_csv(input_path)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     energy_map = tfmap.spatiotemporal_map(signal, config.band_hz)
     detection = tfmap.detect_buildup(energy_map, config.k_sigma)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_signal_csv(
         out / "map.csv",
         MultiChannelSignal(

@@ -5,6 +5,19 @@ The pipeline decomposes a channel, finds where the target-band energy
 concentrates, keeps the coefficients inside a frequency-dependent time and
 scale rectangle as the oscillatory part, and reconstructs both that part and
 its complement. The two outputs always sum back to the input.
+
+The oscillatory part is synthesized only on its support. Each synthesis
+level reads its inputs at and after the output sample, up to (k-1)*2**(j-1)
+samples ahead for k taps, so over J levels a coefficient reaches at most
+(k-1)*(2**J-1) samples back: 217 for db4 over 5 levels. Coefficients that
+are zero outside the window therefore give an output that is zero outside
+[window start - 217, window end). The inverse runs unchanged on that crop,
+gathered modulo n, and the result is scattered into zeros. The crop is
+exact, not an approximation: each output inside it is the same sum of the
+same products, and the crop's own wrap-around only reads samples that are
+zero in the full-length synthesis as well, at every level. The kernel sums
+from +0.0, so the sign of a zero operand never reaches the output, and the
+full-length synthesis is +0.0 outside the support, as the scatter writes.
 """
 
 from __future__ import annotations
@@ -192,12 +205,84 @@ class SeparationResult:
     detection_center_sample: int
 
 
+def _oscillatory_part(coeffs, mask, filters):
+    """Inverse transform of the in-mask coefficients, run only on its support.
+
+    The crop starts (k-1)*(2**levels-1) samples before the window, as far
+    back as the inverse transform spreads a coefficient, and ends with the
+    window, gathered modulo n; a crop of n or more samples is the whole
+    circle, rotated to start there. Every level outside the mask is zero.
+    """
+    n = coeffs.n_samples
+    window = mask.window
+    reach = (filters.length - 1) * (2 ** coeffs.levels - 1)
+    size = min(window.length_samples + reach, n)
+    first = window.end_sample - size
+    crop = np.arange(first, window.end_sample) % n
+    inside = slice(size - window.length_samples, size)
+    zeros = np.zeros(size)
+
+    def masked(seq):
+        out = np.zeros(size)
+        out[inside] = seq[window.start_sample : window.end_sample]
+        return out
+
+    deepest = masked(coeffs.approximations[-1])
+    part = iswt_reconstruct(
+        WaveletCoefficients(
+            approximations=(zeros,) * (coeffs.levels - 1) + (deepest,),
+            details=tuple(
+                masked(d) if level in mask.scales else zeros
+                for level, d in enumerate(coeffs.details, start=1)
+            ),
+            levels=coeffs.levels,
+            n_samples=size,
+        ),
+        filters,
+    )
+    out = np.zeros(n)
+    out[crop] = part
+    return out
+
+
+def _transient_coeffs(coeffs, mask):
+    """The coefficients outside the mask: its window set to 0.0 where it keeps.
+
+    Only the deepest approximation and the masked detail levels are copied;
+    the others pass through. Each equals ``seq - seq * indicator`` bit for
+    bit: the two differ only where seq holds -0.0, which the transform
+    never emits.
+    """
+    window = slice(mask.window.start_sample, mask.window.end_sample)
+
+    def cleared(seq):
+        out = seq.copy()
+        out[window] = 0.0
+        return out
+
+    return WaveletCoefficients(
+        approximations=coeffs.approximations[:-1]
+        + (cleared(coeffs.approximations[-1]),),
+        details=tuple(
+            cleared(d) if level in mask.scales else d
+            for level, d in enumerate(coeffs.details, start=1)
+        ),
+        levels=coeffs.levels,
+        n_samples=coeffs.n_samples,
+    )
+
+
 def separate(x, target_freq_hz, sample_rate_hz, filters=None,
              levels=DEFAULT_LEVELS):
     """Full separation of one channel at a target frequency.
 
     Decompose, locate the oscillatory event, mask, reconstruct both parts.
-    Raises NoDetectionError when nothing can be localized.
+    The transient is synthesized at full length from the coefficients
+    outside the mask. The oscillatory part is synthesized only on the
+    window plus the (k-1)*(2**levels-1) samples before it, where it can be
+    non-zero, and is exact zeros elsewhere (see the module docstring); both
+    are bit-identical to a full-length synthesis of ``threshold_coeffs``'
+    two halves. Raises NoDetectionError when nothing can be localized.
     """
     x = np.asarray(x, dtype=np.float64)
     if filters is None:
@@ -208,10 +293,9 @@ def separate(x, target_freq_hz, sample_rate_hz, filters=None,
         filter_length=filters.dec_lo.size,
     )
     mask = build_mask(center, target_freq_hz, sample_rate_hz, x.size)
-    osc_coeffs, trans_coeffs = threshold_coeffs(coeffs, mask)
     return SeparationResult(
-        oscillatory=iswt_reconstruct(osc_coeffs, filters),
-        transient=iswt_reconstruct(trans_coeffs, filters),
+        oscillatory=_oscillatory_part(coeffs, mask, filters),
+        transient=iswt_reconstruct(_transient_coeffs(coeffs, mask), filters),
         mask_used=mask,
         detection_center_sample=center,
     )

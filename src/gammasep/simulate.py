@@ -45,6 +45,14 @@ class SimConfig:
 
     Defaults give three channels at 45/55/85 Hz demonstrating the three
     overlap regimes in order, 5000 samples at 512 Hz, 200 realizations.
+
+    rng_seed does not give independent data per seed: channel ch of
+    realization i draws its noise from seed (rng_seed ^ i) * n_channels + ch,
+    so two seeds below the realization count reuse most of the same draws,
+    permuted across realizations (every seed below 64 gives realizations
+    0-63 the same 64 draws; seeds 5 and 13 share 192 of 200). A seed meant
+    to confirm a result on fresh data must be at least the realization
+    count.
     """
 
     sample_rate_hz: float = 512.0

@@ -22,7 +22,6 @@ __all__ = [
     "iswt_reconstruct",
     "level_for_frequency",
     "swt_decompose",
-    "upsample_filter",
     "wavelet_filters",
     "wavelet_order",
 ]
@@ -127,22 +126,6 @@ def wavelet_filters(name="db4"):
     """Filter pair for a named family: 'haar' or 'db1' through 'db8'."""
     order = wavelet_order(name)
     return FilterPair.from_scaling(name.strip().lower(), _daubechies_scaling(order))
-
-
-def upsample_filter(taps, level):
-    """Insert 2^(level-1) - 1 zeros between consecutive taps.
-
-    Level 1 returns the taps unchanged.
-    """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    taps = np.asarray(taps, dtype=np.float64)
-    if level == 1:
-        return taps.copy()
-    stride = 2 ** (level - 1)
-    out = np.zeros((taps.size - 1) * stride + 1)
-    out[::stride] = taps
-    return out
 
 
 @dataclass(frozen=True)

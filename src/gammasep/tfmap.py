@@ -420,7 +420,9 @@ def detect_buildup(energy_map, k_sigma=DEFAULT_K_SIGMA):
     threshold is then median + RAMP_FRACTION * (peak - median): a quarter
     of the way from the median to the map peak, the level at which a
     smoothed step is detected at the step itself (see the module
-    docstring). A constant map keeps its threshold at the median.
+    docstring). A constant map keeps its threshold at the median. When
+    more than half of the map is exact zeros, the median and the MAD are
+    both 0 by definition and are not computed.
 
     A sample counts as above the threshold only if strictly greater. The
     onset is the sample at which some channel has stayed above the
@@ -430,8 +432,13 @@ def detect_buildup(energy_map, k_sigma=DEFAULT_K_SIGMA):
     """
     values = energy_map.values
     peak = float(values.max())
-    med = float(np.median(values))
-    mad = float(np.median(np.abs(values - med)))
+    if 2 * (values.size - np.count_nonzero(values)) > values.size:
+        # a strict majority of exact zeros holds both middle order
+        # statistics of the map and of its deviations: no sort needed
+        med = mad = 0.0
+    else:
+        med = float(np.median(values))
+        mad = float(np.median(np.abs(values - med)))
     if mad > 0.0:
         threshold = med + k_sigma * mad
     else:

@@ -4,10 +4,11 @@ Everything here is written against the mathematical definitions directly,
 sharing no convolution or masking code with the package under test. The
 undecimated transform builds explicit zero-stuffed filters and convolves
 via wrapped padding; masking and detection are index arithmetic on plain
-arrays. Slow and obvious on purpose. The exception is `full_map_row`,
-the map chain run over every sample of a row: it is built from the
-package's own filter stages, because it is the reference for the crop that
-`tfmap.map_row` makes, not for the stages themselves.
+arrays. Slow and obvious on purpose. The exceptions are `full_map_row`,
+the map chain run over every sample of a row, and `full_separate`, both
+syntheses run over every sample of a channel: they are built from the
+package's own stages, because they are the references for the crops that
+`tfmap.map_row` and `despike.separate` make, not for the stages themselves.
 """
 
 import numpy as np
@@ -204,3 +205,53 @@ def full_map_row(x, band_hz, params):
     if not np.isfinite(smoothed).all():
         raise ValueError("band energy is not finite; check the input scale")
     return normalize_by_low_band(smoothed, x, params.sample_rate_hz)
+
+
+def full_separate(x, target_freq_hz, sample_rate_hz, filters, levels=5):
+    """Both parts synthesized over every sample from threshold_coeffs' halves.
+
+    Returns (oscillatory, transient, mask).
+    """
+    from gammasep.despike import (
+        build_mask,
+        detect_oscillation_center,
+        threshold_coeffs,
+    )
+    from gammasep.swt import iswt_reconstruct, swt_decompose
+
+    x = np.asarray(x, dtype=np.float64)
+    coeffs = swt_decompose(x, filters, levels)
+    center = detect_oscillation_center(
+        coeffs, target_freq_hz, sample_rate_hz, filter_length=filters.length
+    )
+    mask = build_mask(center, target_freq_hz, sample_rate_hz, x.size)
+    osc, trans = threshold_coeffs(coeffs, mask)
+    return iswt_reconstruct(osc, filters), iswt_reconstruct(trans, filters), mask
+
+
+def median_buildup(values, k_sigma, sample_rate_hz):
+    """detect_buildup's decision with both medians always taken by np.median.
+
+    Returns (threshold, onset_sample, channel_indices, peak_energy).
+    """
+    from gammasep.tfmap import CHANNEL_WINDOW_MS, RAMP_FRACTION, RUN_LENGTH
+
+    values = np.asarray(values, dtype=np.float64)
+    peak = float(values.max())
+    med = float(np.median(values))
+    mad = float(np.median(np.abs(values - med)))
+    if mad > 0.0:
+        threshold = med + k_sigma * mad
+    else:
+        threshold = med + RAMP_FRACTION * (peak - med)
+    above = values > threshold
+    starts = [s for s in (first_sustained_run(row, RUN_LENGTH) for row in above)
+              if s >= 0]
+    if not starts:
+        return threshold, -1, frozenset(), peak
+    onset = min(starts) + RUN_LENGTH - 1
+    horizon = int(round(CHANNEL_WINDOW_MS * sample_rate_hz / 1000.0))
+    channels = frozenset(
+        ch for ch, row in enumerate(above) if row[onset : onset + horizon].any()
+    )
+    return threshold, onset, channels, peak

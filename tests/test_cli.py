@@ -235,6 +235,7 @@ def test_unusable_sample_exits_invalid(tmp_path, capsys, command, bad):
         warnings.simplefilter("always")
         code = main([command, str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_INVALID
+    assert not (tmp_path / "out").exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     if bad == "1e308":
@@ -254,6 +255,7 @@ def test_overflow_inside_a_zero_channel_exits_invalid(tmp_path, capsys):
         warnings.simplefilter("always")
         code = main(["map", str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_INVALID
+    assert not (tmp_path / "out").exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "ch2: band energy is not finite" in err
@@ -421,6 +423,18 @@ class TestDespikeCommand:
         code = main(["despike", csv_path, "--out", str(tmp_path / "out")])
         assert code == EXIT_NO_DETECTION
         assert "error: ch1: no oscillatory energy" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failing_later_channel_leaves_no_output_directory(self, tmp_path, capsys):
+        signal, _ = g.build_realization(g.SimConfig(), 0)
+        data = signal.data.copy()
+        data[1] = 0.0
+        path = tmp_path / "in.csv"
+        write_signal_csv(path, MultiChannelSignal(FS, signal.channel_labels, data))
+        code = main(["despike", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NO_DETECTION
+        assert "error: ch2: no oscillatory energy" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_exits_invalid(self, tmp_path, capsys):
         code = main(["despike", str(tmp_path / "nope.csv")])

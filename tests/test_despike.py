@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gammasep as g
@@ -20,9 +20,9 @@ from gammasep.despike import (
     threshold_coeffs,
 )
 from gammasep.signal_core import TimeWindow, oscillation_duration_ms
-from gammasep.swt import swt_decompose
+from gammasep.swt import swt_decompose, wavelet_filters
 from frozen import RESEPARATION_ENERGY_FRACTION
-from oracles import pearson, placed_burst
+from oracles import full_separate, pearson, placed_burst, same_bits
 
 FS = 512.0
 
@@ -280,6 +280,72 @@ class TestSeparate:
             result.detection_center_sample, 45.0, FS, signal.n_samples
         )
         assert result.mask_used == rebuilt
+
+
+FAMILIES = ("haar",) + tuple(f"db{p}" for p in range(1, 9))
+FILTERS = {name: wavelet_filters(name) for name in FAMILIES}
+
+
+def assert_matches_full_synthesis(x, freq, filters, levels=5):
+    result = separate(x, freq, FS, filters, levels=levels)
+    osc, trans, mask = full_separate(x, freq, FS, filters, levels)
+    assert result.mask_used == mask
+    assert same_bits(result.oscillatory, osc)
+    assert same_bits(result.transient, trans)
+    return result
+
+
+class TestSupportLocalSynthesis:
+    """separate's cropped synthesis is byte-identical to the full-length one."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        n=st.integers(32, 4096),
+        family=st.sampled_from(FAMILIES),
+        levels=st.integers(3, 6),
+        decade=st.integers(-6, 6),
+        freq=st.sampled_from([45.0, 55.0, 85.0]),
+        place=st.sampled_from(["left", "right", "inside"]),
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # windows clamped to either edge; n below the 294-sample db4 crop
+    @example(n=5000, family="db4", levels=5, decade=0, freq=85.0,
+             place="left", fraction=0.01, seed=1)
+    @example(n=5000, family="db4", levels=5, decade=0, freq=45.0,
+             place="right", fraction=0.01, seed=2)
+    @example(n=200, family="db4", levels=5, decade=3, freq=55.0,
+             place="inside", fraction=0.3, seed=3)
+    @example(n=64, family="db8", levels=6, decade=-6, freq=45.0,
+             place="inside", fraction=1.0, seed=4)
+    def test_matches_full_synthesis_on_any_stretch(
+        self, n, family, levels, decade, freq, place, fraction, seed
+    ):
+        assume(2**levels <= n)
+        rng = np.random.default_rng(seed)
+        length = max(1, int(fraction * n))
+        start = {"left": 0, "right": n - length}.get(
+            place, int(rng.integers(0, n - length + 1))
+        )
+        x = np.zeros(n)
+        x[start : start + length] = rng.standard_normal(length) * 10.0**decade
+        assert_matches_full_synthesis(x, freq, FILTERS[family], levels)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_matches_full_synthesis_on_protocol_channels(self, db4, index):
+        signal, _ = g.build_realization(g.SimConfig(), index)
+        for row in signal.data:
+            for freq in (45.0, 55.0, 85.0):
+                assert_matches_full_synthesis(row, freq, db4)
+
+    def test_matches_full_synthesis_on_a_long_channel(self, db4):
+        config = g.SimConfig(n_samples=30720)
+        signal, _ = g.build_realization(config, 0)
+        result = assert_matches_full_synthesis(signal.data[2], 85.0, db4)
+        window = result.mask_used.window
+        support = np.flatnonzero(result.oscillatory)
+        assert window.start_sample - 217 <= support[0]
+        assert support[-1] < window.end_sample
 
 
 def test_harder_overlap_regimes_separate_worse():

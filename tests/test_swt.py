@@ -10,7 +10,6 @@ from gammasep.swt import (
     iswt_reconstruct,
     level_for_frequency,
     swt_decompose,
-    upsample_filter,
     wavelet_filters,
 )
 from oracles import direct_iswt, direct_swt, loop_conv, stuffed_filter
@@ -26,26 +25,6 @@ DB4_SCALING = [
     0.032883011666982945,
     -0.010597401784997278,
 ]
-
-
-class TestUpsampleFilter:
-    def test_level_one_is_identity(self):
-        taps = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(upsample_filter(taps, 1), taps)
-
-    def test_level_two_inserts_single_zeros(self):
-        np.testing.assert_array_equal(
-            upsample_filter([1.0, 2.0, 3.0], 2), [1, 0, 2, 0, 3]
-        )
-
-    def test_level_three_inserts_three_zeros(self):
-        np.testing.assert_array_equal(
-            upsample_filter([1.0, 2.0], 3), [1, 0, 0, 0, 2]
-        )
-
-    def test_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            upsample_filter([1.0], 0)
 
 
 class TestFilterFamilies:

@@ -33,7 +33,7 @@ from gammasep.tfmap import (
     _map_reach,
 )
 from frozen import NOISE_MAP_MAX_OVER_MEDIAN
-from oracles import first_sustained_run, full_map_row, same_bits
+from oracles import first_sustained_run, full_map_row, median_buildup, same_bits
 
 FS = 512.0
 BAND = (80.0, 90.0)
@@ -561,6 +561,30 @@ class TestDetectBuildup:
             detection = detect_buildup(spatiotemporal_map(scaled, BAND))
             assert detection.channel_indices == base.channel_indices
             assert detection.onset_sample == base.onset_sample
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    @pytest.mark.parametrize("zeros", ["tenth", "half-1", "half", "half+1", "most"])
+    def test_zero_count_shortcut_matches_the_median_path(self, n, zeros):
+        """Below, at and above half exact zeros, on odd and even map sizes."""
+        rng = np.random.default_rng(n)
+        values = rng.uniform(0.5, 1.5, (3, n))
+        # a ramp, kept clear of zeros, so the onset moves with the threshold
+        values[1, n - 250 :] = np.minimum(0.5 + 0.1 * np.arange(250), 10.0)
+        size = values.size
+        count = {"tenth": size // 10, "half-1": size // 2 - 1, "half": size // 2,
+                 "half+1": size // 2 + 1, "most": 9 * size // 10}[zeros]
+        spots = np.setdiff1d(rng.permutation(size), np.arange(2 * n - 250, 2 * n),
+                             assume_unique=True)
+        values.flat[spots[:count]] = 0.0
+        threshold, onset, channels, peak = median_buildup(values, 6.0, FS)
+        if 2 * count == size:
+            # the median of an even map at exactly half zeros is (0 + v) / 2
+            assert np.median(values) > 0.0
+            assert threshold != RAMP_FRACTION * peak
+        detection = detect_buildup(as_map(values), k_sigma=6.0)
+        assert detection.onset_sample == onset
+        assert detection.channel_indices == channels
+        assert detection.peak_energy == peak
 
     def test_empty_detection_reports_false(self):
         detection = BuildupDetection(

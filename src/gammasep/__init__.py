@@ -4,7 +4,7 @@ Simulates multichannel recordings where narrow-band gamma bursts coexist
 with large sharp transients, separates the two by masked stationary wavelet
 thresholding, maps normalized band energy across channels and time, and
 models the arithmetic cost of running that chain on a small dataflow
-pipeline with configurable accelerator counts.
+pipeline, serially and with two parallel convolution units.
 """
 
 from .backends import centered_conv, centered_conv_complex, circular_conv
@@ -66,7 +66,6 @@ from .tickmodel import (
     TickReport,
     benchmark_report,
     mapping_stages,
-    quantize_microvolts,
     run_mapping_pipeline,
     run_pipeline,
     separation_stages,
@@ -118,7 +117,6 @@ __all__ = [
     "ms_to_samples",
     "normalize_by_low_band",
     "oscillation_duration_ms",
-    "quantize_microvolts",
     "run_mapping_pipeline",
     "run_pipeline",
     "scale_for_frequency",

@@ -57,8 +57,6 @@ class RunConfig:
     target_freq_hz: tuple = (85.0,)
     band_hz: tuple = (80.0, 90.0)
     k_sigma: float = tfmap.DEFAULT_K_SIGMA
-    accelerators: tuple = tickmodel.ACCELERATOR_COUNTS
-    bench_repetitions: int = 200
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -69,7 +67,6 @@ class RunConfig:
         """
         wavelet_order(self.wavelet)
         _require_count("levels", self.levels)
-        _require_count("bench_repetitions", self.bench_repetitions)
         targets = _number_tuple("target_freq_hz", self.target_freq_hz)
         if not targets or min(targets) <= 0:
             raise ValueError(
@@ -83,33 +80,15 @@ class RunConfig:
         _require_number("k_sigma", self.k_sigma)
         if self.k_sigma <= 0:
             raise ValueError(f"k_sigma must be positive, got {self.k_sigma}")
-        accelerators = _sequence("accelerators", self.accelerators)
-        for a in accelerators:
-            if not _is_integer(a) or a not in tickmodel.ACCELERATOR_COUNTS:
-                raise ValueError(
-                    "accelerators must each be one of "
-                    f"{list(tickmodel.ACCELERATOR_COUNTS)}, got {a!r}"
-                )
         object.__setattr__(self, "target_freq_hz", targets)
         object.__setattr__(self, "band_hz", band)
-        object.__setattr__(self, "accelerators", accelerators)
-
-
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _require_count(key, value):
-    if not _is_integer(value):
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise TypeError(f"{key} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{key} must be >= 1, got {value}")
-
-
-def _sequence(key, value):
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"{key} must be a list, got {value!r}")
-    return tuple(value)
 
 
 def _require_number(key, value):
@@ -121,7 +100,9 @@ def _require_number(key, value):
 
 def _number_tuple(key, value):
     """`value`, a list or tuple of finite real numbers, as a tuple."""
-    value = _sequence(key, value)
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{key} must be a list, got {value!r}")
+    value = tuple(value)
     for v in value:
         _require_number(f"each {key} entry", v)
     return value
@@ -257,17 +238,6 @@ def write_map_pgm(path, energy_map):
 # commands
 
 
-def _freq_for_channel(config, ch):
-    targets = config.target_freq_hz
-    if len(targets) == 1:
-        return targets[0]
-    if ch < len(targets):
-        return targets[ch]
-    raise ValueError(
-        f"{len(targets)} target frequencies cannot cover channel {ch + 1}"
-    )
-
-
 def cmd_simulate(config):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -304,13 +274,20 @@ def cmd_simulate(config):
 
 def cmd_despike(input_path, config):
     signal = read_signal_csv(input_path)
+    targets = config.target_freq_hz
+    if len(targets) not in (1, signal.n_channels):
+        raise ValueError(
+            f"{len(targets)} target frequencies for the {signal.n_channels} "
+            f"channels of {input_path}: give one for all or one per channel"
+        )
+    if len(targets) == 1:
+        targets = targets * signal.n_channels
     filters = wavelet_filters(config.wavelet)
     osc_rows = []
     trans_rows = []
     mask_pairs = []
     split_error = 0.0
-    for ch in range(signal.n_channels):
-        freq = _freq_for_channel(config, ch)
+    for ch, freq in enumerate(targets):
         try:
             result = despike.separate(
                 signal.data[ch],
@@ -396,16 +373,8 @@ def cmd_bench(config):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     workload, _ = simulate.build_realization(config.sim, 0)
-    pipeline_configs = [
-        tickmodel.PipelineConfig(accelerators=a, data_capacity=config.sim.n_samples)
-        for a in config.accelerators
-    ]
     report = tickmodel.benchmark_report(
-        pipeline_configs,
-        workload,
-        repetitions=config.bench_repetitions,
-        target_freq_hz=config.target_freq_hz[-1],
-        band_hz=config.band_hz,
+        workload, target_freq_hz=config.target_freq_hz[-1], band_hz=config.band_hz
     )
     (out / "bench.csv").write_text(report["csv"])
     (out / "bench.txt").write_text(report["text"])
@@ -469,12 +438,6 @@ def build_parser():
 
     p_bench = sub.add_parser("bench", help="tick-cost benchmark report")
     common(p_bench)
-    p_bench.add_argument(
-        "--accel",
-        type=int,
-        choices=tickmodel.ACCELERATOR_COUNTS,
-        help="run a single accelerator configuration",
-    )
     return parser
 
 
@@ -492,8 +455,6 @@ def _merge_config(args):
         overrides["target_freq_hz"] = args.freq
     if getattr(args, "band", None) is not None:
         overrides["band_hz"] = args.band
-    if getattr(args, "accel", None) is not None:
-        overrides["accelerators"] = (args.accel,)
     return replace(config, **overrides) if overrides else config
 
 

@@ -7,6 +7,7 @@ length in samples). Both are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,8 @@ class MultiChannelSignal:
     """Uniformly sampled real-valued channels, amplitudes in microvolts.
 
     data is channel-major (one row per channel) so per-channel transforms
-    stream contiguously. Every sample must be finite. The array is frozen
-    after construction.
+    stream contiguously. The rate and every sample must be finite. The array
+    is frozen after construction.
     """
 
     sample_rate_hz: float
@@ -106,9 +107,9 @@ class MultiChannelSignal:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
+        if not 0 < self.sample_rate_hz < math.inf:
             raise ValueError(
-                f"sample_rate_hz must be positive, got {self.sample_rate_hz}"
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
             )
         arr = np.array(self.data, dtype=np.float64, copy=True)
         if arr.ndim != 2:

@@ -45,6 +45,8 @@ class SimConfig:
 
     Defaults give three channels at 45/55/85 Hz demonstrating the three
     overlap regimes in order, 5000 samples at 512 Hz, 200 realizations.
+    Every float setting must be finite, except snr_db, which may be +inf
+    (no noise is added).
 
     rng_seed does not give independent data per seed: channel ch of
     realization i draws its noise from seed (rng_seed ^ i) * n_channels + ch,
@@ -74,6 +76,17 @@ class SimConfig:
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
+        for key in ("sample_rate_hz", "noise_exponent", "burst_amplitude_uv",
+                    "transient_amplitude_uv", "transient_width_ms"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+        # +inf is the noiseless setting; NaN and -inf have no meaning
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db!r}")
+        if self.transient_width_ms <= 0:
+            raise ValueError(
+                f"transient_width_ms must be positive, got {self.transient_width_ms!r}"
+            )
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.n_realizations < 1:

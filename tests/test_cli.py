@@ -77,6 +77,13 @@ class TestLoadConfig:
         with pytest.raises(SignalFormatError, match="unknown config keys"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["accelerators", "bench_repetitions"])
+    def test_removed_bench_settings_are_unknown_keys(self, tmp_path, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: 2}))
+        with pytest.raises(SignalFormatError, match="unknown config keys"):
+            load_config(path)
+
     def test_broken_json_names_the_line(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{\n  "n_samples": \n}')
@@ -113,10 +120,6 @@ class TestLoadConfig:
             ("target_freq_hz", [85.0, -5.0], "positive frequencies"),
             ("k_sigma", "6", "k_sigma must be a number"),
             ("k_sigma", 0.0, "k_sigma must be positive"),
-            ("accelerators", [1], "one of \\[0, 2\\]"),
-            ("accelerators", 2, "accelerators must be a list"),
-            ("bench_repetitions", 2.5, "bench_repetitions must be an integer"),
-            ("bench_repetitions", 0, "bench_repetitions must be >= 1"),
             ("wavelet", "db9", "unknown wavelet"),
             ("wavelet", 4, "unknown wavelet"),
         ],
@@ -127,13 +130,41 @@ class TestLoadConfig:
         with pytest.raises(SignalFormatError, match=f"c.json: .*{message}"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sample_rate_hz", math.inf, "sample_rate_hz must be finite"),
+            ("sample_rate_hz", math.nan, "sample_rate_hz must be finite"),
+            ("transient_width_ms", math.inf, "transient_width_ms must be finite"),
+            ("transient_width_ms", -5.0, "transient_width_ms must be positive"),
+            ("transient_width_ms", 0.0, "transient_width_ms must be positive"),
+            ("noise_exponent", math.nan, "noise_exponent must be finite"),
+            ("noise_exponent", math.inf, "noise_exponent must be finite"),
+            ("burst_amplitude_uv", math.inf, "burst_amplitude_uv must be finite"),
+            ("transient_amplitude_uv", -math.inf, "transient_amplitude_uv must be"),
+            ("snr_db", math.nan, "snr_db must be finite or \\+inf"),
+            ("snr_db", -math.inf, "snr_db must be finite or \\+inf"),
+        ],
+    )
+    def test_bad_simulation_number_names_the_file(self, tmp_path, key, value, message):
+        # json writes and reads NaN, Infinity and -Infinity
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(SignalFormatError, match=f"c.json: {message}"):
+            load_config(path)
+
+    def test_noiseless_snr_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"snr_db": math.inf}))
+        assert load_config(path).sim.snr_db == math.inf
+
     def test_readme_example_lists_every_key_at_its_default(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
         accepted = {f.name for f in fields(g.SimConfig)} | {
             f.name for f in fields(RunConfig)
         } - {"sim"}
-        assert len(accepted) == 19
+        assert len(accepted) == 17
         assert set(json.loads(block)) == accepted - {"out_dir"}
         path = tmp_path / "readme.json"
         path.write_text(block)
@@ -157,6 +188,19 @@ def test_bad_simulation_setting_exits_invalid_naming_the_file(
     assert "bad.json" in err
     assert "sideways" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "setting", [{"sample_rate_hz": math.inf}, {"transient_width_ms": -5.0}]
+)
+def test_bad_simulation_number_exits_invalid_before_writing(
+    tmp_path, capsys, setting
+):
+    config = write_config(tmp_path, setting, name="bad.json")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_INVALID
+    assert "bad.json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -243,6 +287,21 @@ def test_unusable_sample_exits_invalid(tmp_path, capsys, command, bad):
         assert "ch2" in err and "energy" in err and "not finite" in err
     else:
         assert "line 503: non-finite value" in err
+
+
+@pytest.mark.parametrize("command", ["map", "despike"])
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_non_finite_rate_exits_invalid_naming_the_file(tmp_path, capsys, command, rate):
+    signal, _ = g.build_realization(g.SimConfig(n_samples=2000), 0)
+    path = tmp_path / "bad.csv"
+    write_signal_csv(path, signal)
+    text = path.read_text().replace("# rate=512.0\n", f"# rate={rate}\n", 1)
+    path.write_text(text)
+    code = main([command, str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert f"{path}: sample_rate_hz must be positive and finite, got {rate}" in err
 
 
 def test_overflow_inside_a_zero_channel_exits_invalid(tmp_path, capsys):
@@ -436,6 +495,18 @@ class TestDespikeCommand:
         assert "error: ch2: no oscillatory energy" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("freqs", ["45,55", "45,55,85,95"])
+    def test_target_count_must_match_the_channels(self, tmp_path, capsys, freqs):
+        config, csv_path = self._simulated_csv(tmp_path)
+        out = tmp_path / "desp"
+        argv = ["despike", csv_path, "--config", config, "--freq", freqs]
+        code = main(argv + ["--out", str(out)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        n_freqs = len(freqs.split(","))
+        assert f"{n_freqs} target frequencies for the 3 channels" in err
+        assert not out.exists()
+
     def test_missing_input_exits_invalid(self, tmp_path, capsys):
         code = main(["despike", str(tmp_path / "nope.csv")])
         assert code == EXIT_INVALID
@@ -544,15 +615,24 @@ class TestBenchCommand:
         assert (out_a / "bench.csv").read_bytes() == (out_b / "bench.csv").read_bytes()
         assert (out_a / "bench.txt").read_bytes() == (out_b / "bench.txt").read_bytes()
 
-    def test_single_accelerator_run(self, tmp_path, capsys):
-        config = write_config(tmp_path)
+    def test_default_tick_rows(self, tmp_path, capsys):
         out = tmp_path / "bench"
-        code = main(["bench", "--config", config, "--accel", "0", "--out", str(out)])
-        assert code == EXIT_OK
+        assert main(["bench", "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
+        _, accel0, accel2 = (out / "bench.csv").read_text().splitlines()
+        assert accel0.startswith("accel0,0,513000000,5604000000,")
+        assert accel2.startswith("accel2,2,270000000,2802000000,")
         text = (out / "bench.txt").read_text()
-        assert "speedup" not in text
-        assert len((out / "bench.csv").read_text().splitlines()) == 2
+        assert "speedup accel0/accel2: separation 1.9000, mapping 2.0000" in text
+        assert "outputs identical: yes" in text
+
+    def test_accel_flag_is_rejected(self, tmp_path, capsys):
+        # both schedules always run; there is no flag to pick one
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--accel", "0", "--out", str(tmp_path / "bench")])
+        assert exc.value.code == EXIT_INVALID
+        assert "unrecognized arguments: --accel" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
 
 class TestEndToEnd:

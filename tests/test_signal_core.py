@@ -102,6 +102,11 @@ class TestMultiChannelSignal:
         with pytest.raises(ValueError):
             MultiChannelSignal(0.0, ("a",), np.zeros((1, 10)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rate(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MultiChannelSignal(bad, ("a",), np.zeros((1, 10)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_samples(self, bad):
         data = np.zeros((2, 10))

@@ -135,6 +135,26 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(overlap_regimes=("separated", "overlapped"))
 
+    @pytest.mark.parametrize(
+        "key",
+        ["sample_rate_hz", "noise_exponent", "burst_amplitude_uv",
+         "transient_amplitude_uv", "transient_width_ms"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_settings(self, key, bad):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            SimConfig(**{key: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rejects_meaningless_snr(self, bad):
+        with pytest.raises(ValueError, match="snr_db"):
+            SimConfig(snr_db=bad)
+
+    @pytest.mark.parametrize("width", [0.0, -5.0])
+    def test_rejects_nonpositive_transient_width(self, width):
+        with pytest.raises(ValueError, match="transient_width_ms must be positive"):
+            SimConfig(transient_width_ms=width)
+
 
 class TestBuildRealization:
     def test_shape_and_labels(self, default_config, realization0):

@@ -61,7 +61,6 @@ from .tfmap import (
     spatiotemporal_map,
 )
 from .tickmodel import (
-    PipelineConfig,
     Stage,
     TickReport,
     benchmark_report,
@@ -82,7 +81,6 @@ __all__ = [
     "MultiChannelSignal",
     "NoDetectionError",
     "OverlapRegime",
-    "PipelineConfig",
     "RectMask",
     "SeparationResult",
     "SimConfig",

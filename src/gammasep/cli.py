@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import numbers
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -20,6 +18,7 @@ import numpy as np
 
 from . import despike, simulate, tfmap, tickmodel
 from .signal_core import MultiChannelSignal
+from .simulate import require_integer, require_number
 from .swt import wavelet_filters, wavelet_order
 
 __all__ = [
@@ -66,7 +65,7 @@ class RunConfig:
         one out of range, before any command reads or writes a file.
         """
         wavelet_order(self.wavelet)
-        _require_count("levels", self.levels)
+        require_integer("levels", self.levels)
         targets = _number_tuple("target_freq_hz", self.target_freq_hz)
         if not targets or min(targets) <= 0:
             raise ValueError(
@@ -77,25 +76,11 @@ class RunConfig:
             raise ValueError(
                 f"band_hz must be [low, high] with 0 < low < high, got {list(band)}"
             )
-        _require_number("k_sigma", self.k_sigma)
+        require_number("k_sigma", self.k_sigma)
         if self.k_sigma <= 0:
             raise ValueError(f"k_sigma must be positive, got {self.k_sigma}")
         object.__setattr__(self, "target_freq_hz", targets)
         object.__setattr__(self, "band_hz", band)
-
-
-def _require_count(key, value):
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{key} must be >= 1, got {value}")
-
-
-def _require_number(key, value):
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value!r}")
 
 
 def _number_tuple(key, value):
@@ -104,7 +89,7 @@ def _number_tuple(key, value):
         raise TypeError(f"{key} must be a list, got {value!r}")
     value = tuple(value)
     for v in value:
-        _require_number(f"each {key} entry", v)
+        require_number(f"each {key} entry", v)
     return value
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,22 @@ class OverlapRegime(enum.Enum):
     FULLY_OVERLAPPED = "fully_overlapped"
 
 
+def require_integer(key, value, minimum=1):
+    """Raise unless `value` is an integer (not a bool) of at least `minimum`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{key} must be >= {minimum}, got {value}")
+
+
+def require_number(key, value):
+    """Raise unless `value` is a finite real number (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Tunables of the simulated protocol.
@@ -46,7 +63,10 @@ class SimConfig:
     Defaults give three channels at 45/55/85 Hz demonstrating the three
     overlap regimes in order, 5000 samples at 512 Hz, 200 realizations.
     Every float setting must be finite, except snr_db, which may be +inf
-    (no noise is added).
+    (no noise is added). n_samples and n_realizations are positive integers
+    and rng_seed a non-negative one. The transient must span at least one
+    sample, and every burst and transient must fit inside n_samples at each
+    placement `build_realization` gives it.
 
     rng_seed does not give independent data per seed: channel ch of
     realization i draws its noise from seed (rng_seed ^ i) * n_channels + ch,
@@ -74,12 +94,11 @@ class SimConfig:
     transient_width_ms: float = 20.0
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
         for key in ("sample_rate_hz", "noise_exponent", "burst_amplitude_uv",
                     "transient_amplitude_uv", "transient_width_ms"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+            require_number(key, getattr(self, key))
+        if self.sample_rate_hz <= 0:
+            raise ValueError("sample_rate_hz must be positive")
         # +inf is the noiseless setting; NaN and -inf have no meaning
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db!r}")
@@ -87,10 +106,9 @@ class SimConfig:
             raise ValueError(
                 f"transient_width_ms must be positive, got {self.transient_width_ms!r}"
             )
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
+        require_integer("n_samples", self.n_samples)
+        require_integer("n_realizations", self.n_realizations)
+        require_integer("rng_seed", self.rng_seed, minimum=0)
         freqs = tuple(float(f) for f in self.burst_freqs_hz)
         nyquist = self.sample_rate_hz / 2.0
         for f in freqs:
@@ -106,6 +124,32 @@ class SimConfig:
             )
         object.__setattr__(self, "burst_freqs_hz", freqs)
         object.__setattr__(self, "overlap_regimes", regimes)
+        self._check_placements()
+
+    def _check_placements(self):
+        """Raise unless every realization's burst and transient fit the signal."""
+        fs = self.sample_rate_hz
+        spike_len = ms_to_samples(self.transient_width_ms, fs)
+        if spike_len < 1:
+            raise ValueError(
+                f"transient_width_ms {self.transient_width_ms!r} is shorter than "
+                f"one sample at {fs!r} Hz"
+            )
+        n = self.n_samples
+        # the overlapped spike moves monotonically with the sweep, so the
+        # first and last realizations bound every placement
+        sweeps = {_sweep(self, 0), _sweep(self, self.n_realizations - 1)}
+        for freq, regime in zip(self.burst_freqs_hz, self.overlap_regimes):
+            burst_len = ms_to_samples(oscillation_duration_ms(freq), fs)
+            for sweep in sweeps:
+                starts = _layout(n, burst_len, spike_len, regime, sweep)[:2]
+                for start, length in zip(starts, (burst_len, spike_len)):
+                    if start < 0 or start + length > n:
+                        raise ValueError(
+                            f"n_samples {n} is too short for the {freq!r} Hz "
+                            f"channel: [{start}, {start + length}) falls outside "
+                            f"[0, {n})"
+                        )
 
     @property
     def n_channels(self):
@@ -197,19 +241,31 @@ def gen_colored_noise(n, exponent, rng_seed):
 
 
 def _place(template, start, n):
+    # SimConfig has checked that every placement fits inside the signal
     out = np.zeros(n)
-    start = int(start)
-    stop = start + template.size
-    if start < 0 or stop > n:
-        raise ValueError(
-            f"placement [{start}, {stop}) falls outside signal of length {n}"
-        )
-    out[start:stop] = template
+    out[start : start + template.size] = template
     return out
 
 
 def _channel_seed(config, realization_index, ch):
     return (config.rng_seed ^ realization_index) * config.n_channels + ch
+
+
+def _sweep(config, realization_index):
+    """Where the overlapped spike sits along its sweep, from 0 to 1."""
+    if config.n_realizations > 1:
+        return realization_index / (config.n_realizations - 1)
+    return 0.0
+
+
+def _layout(n, burst_len, spike_len, regime, sweep):
+    """Burst start, spike start and overlap fraction of one channel."""
+    burst_start = n // 2 - burst_len // 2
+    if regime is OverlapRegime.SEPARATED:
+        return burst_start, n // 4 - spike_len // 2, 0.0
+    if regime is OverlapRegime.FULLY_OVERLAPPED:
+        return burst_start, burst_start + burst_len // 2 - spike_len // 2, 1.0
+    return burst_start, burst_start - spike_len + int(round(sweep * spike_len)), sweep
 
 
 def build_realization(config, realization_index):
@@ -227,10 +283,7 @@ def build_realization(config, realization_index):
         )
     n = config.n_samples
     fs = config.sample_rate_hz
-    if config.n_realizations > 1:
-        sweep = realization_index / (config.n_realizations - 1)
-    else:
-        sweep = 0.0
+    sweep = _sweep(config, realization_index)
 
     rows = []
     truths = []
@@ -243,16 +296,9 @@ def build_realization(config, realization_index):
         spike = gen_transient(
             config.transient_width_ms, config.transient_amplitude_uv, fs
         )
-        burst_start = n // 2 - burst.size // 2
-        if regime is OverlapRegime.SEPARATED:
-            spike_start = n // 4 - spike.size // 2
-            fraction = 0.0
-        elif regime is OverlapRegime.FULLY_OVERLAPPED:
-            spike_start = burst_start + burst.size // 2 - spike.size // 2
-            fraction = 1.0
-        else:
-            spike_start = burst_start - spike.size + int(round(sweep * spike.size))
-            fraction = sweep
+        burst_start, spike_start, fraction = _layout(
+            n, burst.size, spike.size, regime, sweep
+        )
         clean = _place(burst, burst_start, n) + _place(spike, spike_start, n)
 
         burst_window = TimeWindow(burst_start, burst.size)

@@ -1,20 +1,22 @@
 """Deterministic tick-cost model of the separation and mapping pipelines.
 
 Each pipeline is a fixed list of stages; a stage costs samples x taps ticks.
+A schedule is a pricing policy over that list, keyed by accelerator count.
 With zero accelerators every stage serializes. With two accelerators the
 separation pipeline runs each low/high filter pair concurrently (the pair
 costs its maximum), while the mapping pipeline splits every stage's batch
 across the two units (each stage costs half, rounded up). Scheduling never
-touches the arithmetic, so outputs are identical across the two schedules
-and are reported with a checksum to prove it. The model has no settings
-beyond the schedule: the input is metered as given, and the bench workload
-always runs both schedules.
+touches the arithmetic, so each channel runs once and its stage list is
+priced under every schedule; the outputs of the two schedules are the same
+arrays by construction. The model has no settings: the input is metered as
+given, and the bench workload always prices both schedules.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,6 @@ from .swt import wavelet_filters
 from .tfmap import MorletParams, morlet_kernel
 
 __all__ = [
-    "PipelineConfig",
     "Stage",
     "TickReport",
     "benchmark_report",
@@ -58,22 +59,10 @@ class Stage:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Accelerator count of the schedule, one of ACCELERATOR_COUNTS."""
-
-    accelerators: int = 0
-
-    def __post_init__(self):
-        if self.accelerators not in ACCELERATOR_COUNTS:
-            raise ValueError(
-                f"accelerators must be 0 or 2, got {self.accelerators}"
-            )
-
-
-@dataclass(frozen=True)
 class TickReport:
-    total_ticks: int
-    per_stage_ticks: dict
+    """Total ticks of one run under each schedule, keyed by accelerator count."""
+
+    ticks: dict
     output_checksum: int
 
 
@@ -83,31 +72,29 @@ def _checksum(arr):
 
 def _pair_max_ticks(stages, accelerators):
     """Serial sum, except grouped stages cost their max when accelerated."""
-    per_stage = {s.name: s.cost for s in stages}
     if accelerators == 0:
-        return sum(per_stage.values()), per_stage
+        return sum(s.cost for s in stages)
     total = 0
-    seen_groups = {}
+    groups = {}
     for s in stages:
         if s.group is None:
             total += s.cost
         else:
-            seen_groups.setdefault(s.group, []).append(s.cost)
-    for costs in seen_groups.values():
-        total += max(costs)
-    return total, per_stage
+            groups[s.group] = max(groups.get(s.group, 0), s.cost)
+    return total + sum(groups.values())
+
 
 def _split_ticks(stages, accelerators):
     """Every stage's batch divided evenly across the accelerators."""
     divisor = max(1, accelerators)
-    per_stage = {s.name: -(-s.cost // divisor) for s in stages}
-    return sum(per_stage.values()), per_stage
+    return sum(-(-s.cost // divisor) for s in stages)
 
 
-def _report(ticks, output):
-    total, per_stage = ticks
+def _report(stages, schedule, output):
+    """`output` with its stage list priced by `schedule` at every count."""
     return TickReport(
-        total_ticks=total, per_stage_ticks=per_stage, output_checksum=_checksum(output)
+        ticks={a: schedule(stages, a) for a in ACCELERATOR_COUNTS},
+        output_checksum=_checksum(output),
     )
 
 
@@ -134,17 +121,15 @@ def separation_stages(n_samples, filters, levels, mask):
     return stages
 
 
-def run_pipeline(x, config, filters=None, levels=despike.DEFAULT_LEVELS,
+def run_pipeline(x, filters=None, levels=despike.DEFAULT_LEVELS,
                  sample_rate_hz=512.0, target_freq_hz=85.0):
-    """Oscillatory part from `despike.separate` plus its tick accounting."""
+    """Oscillatory part from `despike.separate`, priced under every schedule."""
     x = np.asarray(x, dtype=np.float64)
     if filters is None:
         filters = wavelet_filters("db4")
     result = despike.separate(x, target_freq_hz, sample_rate_hz, filters, levels)
     stages = separation_stages(x.size, filters, levels, result.mask_used)
-    return result.oscillatory, _report(
-        _pair_max_ticks(stages, config.accelerators), result.oscillatory
-    )
+    return result.oscillatory, _report(stages, _pair_max_ticks, result.oscillatory)
 
 
 def mapping_stages(n_samples, params, band_hz):
@@ -169,70 +154,56 @@ def mapping_stages(n_samples, params, band_hz):
     return stages
 
 
-def run_mapping_pipeline(x, config, params, band_hz):
-    """`tfmap.map_row`'s normalized band-energy row plus its tick accounting.
+def run_mapping_pipeline(x, params, band_hz):
+    """`tfmap.map_row`'s normalized band-energy row, priced under every schedule.
 
     Ticks are structural: they depend on the stage list, never on the data.
     """
     x = np.asarray(x, dtype=np.float64)
     output = tfmap.map_row(x, band_hz, params)
     stages = mapping_stages(x.size, params, band_hz)
-    return output, _report(_split_ticks(stages, config.accelerators), output)
+    return output, _report(stages, _split_ticks, output)
 
 
 def _combined_checksum(checksums):
     return zlib.crc32(b"".join(c.to_bytes(4, "little") for c in checksums))
 
 
-def _schedule_row(accelerators, workload, filters, params, target_freq_hz, band_hz):
-    """Both pipelines over every channel of the workload on one schedule."""
-    config = PipelineConfig(accelerators)
+def benchmark_report(workload, target_freq_hz=85.0, band_hz=(80.0, 90.0)):
+    """Tick totals of both schedules over the workload, and their ratio.
+
+    Every channel of the workload runs through both pipelines once, and its
+    stage lists are priced under each schedule in ACCELERATOR_COUNTS; its
+    ticks count REPETITIONS times (ticks are data-independent, so repetition
+    multiplies). Both schedules price the same run, so their outputs, and
+    the checksums on each row, are identical by construction. The returned
+    dict carries a CSV table and a text summary, both reproducible byte for
+    byte, plus the wall-clock seconds of the `run_pipeline` calls (one
+    software separation pass over the workload), kept out of the
+    deterministic parts.
+    """
     fs = workload.sample_rate_hz
-    sep_ticks = map_ticks = 0
+    filters = wavelet_filters("db4")
+    params = MorletParams.for_band(band_hz, fs)
+    sep_ticks = Counter()
+    map_ticks = Counter()
     sep_checksums = []
     map_checksums = []
     sep_seconds = 0.0
     for x in workload.data:
         start = time.perf_counter()
         _, sep_report = run_pipeline(
-            x, config, filters=filters, sample_rate_hz=fs,
-            target_freq_hz=target_freq_hz,
+            x, filters=filters, sample_rate_hz=fs, target_freq_hz=target_freq_hz
         )
         sep_seconds += time.perf_counter() - start
-        _, map_report = run_mapping_pipeline(x, config, params, band_hz)
-        sep_ticks += sep_report.total_ticks * REPETITIONS
-        map_ticks += map_report.total_ticks * REPETITIONS
+        _, map_report = run_mapping_pipeline(x, params, band_hz)
+        sep_ticks.update(sep_report.ticks)
+        map_ticks.update(map_report.ticks)
         sep_checksums.append(sep_report.output_checksum)
         map_checksums.append(map_report.output_checksum)
-    return {
-        "label": f"accel{accelerators}",
-        "accelerators": accelerators,
-        "separation_ticks": sep_ticks,
-        "mapping_ticks": map_ticks,
-        "separation_s": sep_seconds,
-        "separation_checksum": _combined_checksum(sep_checksums),
-        "mapping_checksum": _combined_checksum(map_checksums),
-    }
-
-
-def benchmark_report(workload, target_freq_hz=85.0, band_hz=(80.0, 90.0)):
-    """Tick totals of both schedules over the workload, and their ratio.
-
-    Every channel of the workload runs through both pipelines once per
-    schedule in ACCELERATOR_COUNTS; its ticks count REPETITIONS times (ticks
-    are data-independent, so repetition multiplies). The serial and the
-    two-accelerator outputs are compared by checksum. The returned dict
-    carries a CSV table and a text summary, both reproducible byte for byte,
-    plus the wall-clock seconds of the serial schedule's `run_pipeline`
-    calls (one software separation pass over the workload), kept out of the
-    deterministic parts.
-    """
-    filters = wavelet_filters("db4")
-    params = MorletParams.for_band(band_hz, workload.sample_rate_hz)
-    serial, paired = rows = [
-        _schedule_row(a, workload, filters, params, target_freq_hz, band_hz)
-        for a in ACCELERATOR_COUNTS
-    ]
+    checksums = (
+        f"{_combined_checksum(sep_checksums)},{_combined_checksum(map_checksums)}"
+    )
 
     csv_lines = [
         "label,accelerators,separation_ticks,mapping_ticks,"
@@ -242,28 +213,19 @@ def benchmark_report(workload, target_freq_hz=85.0, band_hz=(80.0, 90.0)):
         f"workload: {workload.n_channels} channels x {workload.n_samples} "
         f"samples, {REPETITIONS} repetitions per channel",
     ]
-    for row in rows:
-        csv_lines.append(
-            "{label},{accelerators},{separation_ticks},{mapping_ticks},"
-            "{separation_checksum},{mapping_checksum}".format(**row)
-        )
-        text_lines.append(
-            "{label}: separation {separation_ticks} ticks, "
-            "mapping {mapping_ticks} ticks".format(**row)
-        )
-    sep_ratio = serial["separation_ticks"] / paired["separation_ticks"]
-    map_ratio = serial["mapping_ticks"] / paired["mapping_ticks"]
-    identical = all(
-        serial[key] == paired[key]
-        for key in ("separation_checksum", "mapping_checksum")
-    )
+    for a in ACCELERATOR_COUNTS:
+        sep, mapped = REPETITIONS * sep_ticks[a], REPETITIONS * map_ticks[a]
+        csv_lines.append(f"accel{a},{a},{sep},{mapped},{checksums}")
+        text_lines.append(f"accel{a}: separation {sep} ticks, mapping {mapped} ticks")
+    serial, paired = ACCELERATOR_COUNTS
     text_lines.append(
-        f"speedup {serial['label']}/{paired['label']}: "
-        f"separation {sep_ratio:.4f}, mapping {map_ratio:.4f}"
+        f"speedup accel{serial}/accel{paired}: "
+        f"separation {sep_ticks[serial] / sep_ticks[paired]:.4f}, "
+        f"mapping {map_ticks[serial] / map_ticks[paired]:.4f}"
     )
-    text_lines.append("outputs identical: " + ("yes" if identical else "no"))
+    text_lines.append("outputs identical: yes")
     return {
         "csv": "\n".join(csv_lines) + "\n",
         "text": "\n".join(text_lines) + "\n",
-        "wall_clock_s": serial["separation_s"],
+        "wall_clock_s": sep_seconds,
     }

@@ -15,8 +15,13 @@ import gammasep as g
 from gammasep.cli import main as cli_main
 from gammasep.despike import mask_geometry, mask_scales, separate
 from gammasep.swt import iswt_reconstruct, swt_decompose, wavelet_filters
-from gammasep.tfmap import MorletParams, detect_buildup, spatiotemporal_map
-from gammasep.tickmodel import PipelineConfig, run_mapping_pipeline, run_pipeline
+from gammasep.tfmap import (
+    MorletParams,
+    detect_buildup,
+    map_row,
+    spatiotemporal_map,
+)
+from gammasep.tickmodel import run_mapping_pipeline, run_pipeline
 from frozen import PAIRED_WIN_RATE_FLOOR, SWEEP_CORR_FLOOR
 from oracles import direct_swt, loop_conv, pearson, placed_burst
 
@@ -166,26 +171,16 @@ def test_criterion_7_tick_ratios():
     """Accelerated schedules land in the expected speedup bands."""
     signal, _ = g.build_realization(g.SimConfig(), 0)
     x = signal.data[2]
-    out_sep = {}
-    sep_ticks = {}
-    for accel in (0, 2):
-        out_sep[accel], report = run_pipeline(x, PipelineConfig(accelerators=accel))
-        sep_ticks[accel] = report.total_ticks
-    sep_ratio = sep_ticks[0] / sep_ticks[2]
+    out_sep, report = run_pipeline(x)
+    sep_ratio = report.ticks[0] / report.ticks[2]
     assert 1.8 <= sep_ratio <= 2.1, f"separation ratio {sep_ratio:.3f}"
-    assert np.array_equal(out_sep[0], out_sep[2])
+    assert np.array_equal(out_sep, separate(x, 85.0, FS).oscillatory)
 
     params = MorletParams.for_band(BAND, FS)
-    out_map = {}
-    map_ticks = {}
-    for accel in (0, 2):
-        out_map[accel], report = run_mapping_pipeline(
-            x, PipelineConfig(accelerators=accel), params, BAND
-        )
-        map_ticks[accel] = report.total_ticks
-    map_ratio = map_ticks[0] / map_ticks[2]
+    out_map, report = run_mapping_pipeline(x, params, BAND)
+    map_ratio = report.ticks[0] / report.ticks[2]
     assert 2.0 <= map_ratio <= 2.4, f"mapping ratio {map_ratio:.3f}"
-    assert np.array_equal(out_map[0], out_map[2])
+    assert np.array_equal(out_map, map_row(x, BAND, params))
 
 
 def test_criterion_8_scale_invariance_of_detection():

@@ -144,6 +144,13 @@ class TestLoadConfig:
             ("transient_amplitude_uv", -math.inf, "transient_amplitude_uv must be"),
             ("snr_db", math.nan, "snr_db must be finite or \\+inf"),
             ("snr_db", -math.inf, "snr_db must be finite or \\+inf"),
+            ("rng_seed", 1.5, "rng_seed must be an integer"),
+            ("rng_seed", True, "rng_seed must be an integer"),
+            ("rng_seed", -3, "rng_seed must be >= 0"),
+            ("n_samples", 5000.5, "n_samples must be an integer"),
+            ("n_realizations", 2.5, "n_realizations must be an integer"),
+            ("transient_width_ms", 0.5, "transient_width_ms 0.5 is shorter than one"),
+            ("n_samples", 100, "n_samples 100 is too short"),
         ],
     )
     def test_bad_simulation_number_names_the_file(self, tmp_path, key, value, message):
@@ -171,23 +178,49 @@ class TestLoadConfig:
         assert load_config(path) == RunConfig()
 
 
-@pytest.mark.parametrize("command", ["simulate", "despike", "map", "bench"])
+BAD_REGIME = {"overlap_regimes": ["sideways", "overlapped", "fully_overlapped"]}
+
+
+@pytest.mark.parametrize(
+    "command, setting, named",
+    [
+        pytest.param(command, BAD_REGIME, "sideways", id=command)
+        for command in ("simulate", "despike", "map", "bench")
+    ]
+    + [
+        pytest.param(command, setting, named, id=f"{command}-{named}-{value}")
+        for command in ("simulate", "bench")
+        for setting in (
+            {"rng_seed": 1.5},
+            {"rng_seed": True},
+            {"rng_seed": -3},
+            {"n_samples": 5000.5},
+            {"n_realizations": 2.5},
+            {"transient_width_ms": 0.5},
+            {"n_samples": 100},
+        )
+        for named, value in setting.items()
+    ],
+)
 def test_bad_simulation_setting_exits_invalid_naming_the_file(
-    tmp_path, capsys, command
+    tmp_path, capsys, command, setting, named
 ):
-    config = write_config(
-        tmp_path,
-        {"overlap_regimes": ["sideways", "overlapped", "fully_overlapped"]},
-        name="bad.json",
-    )
+    config = write_config(tmp_path, setting, name="bad.json")
     argv = [command, "--config", config, "--out", str(tmp_path / "out")]
     if command in ("despike", "map"):
         argv.insert(1, zero_signal_csv(tmp_path))
     assert main(argv) == EXIT_INVALID
     err = capsys.readouterr().err
     assert "bad.json" in err
-    assert "sideways" in err
+    assert named in err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_exits_invalid_naming_the_key(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--seed", "-3", "--out", str(out)]) == EXIT_INVALID
+    assert "rng_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -155,6 +155,19 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="transient_width_ms must be positive"):
             SimConfig(transient_width_ms=width)
 
+    @pytest.mark.parametrize("n_realizations", [1, 2])
+    def test_shortest_accepted_length_builds_every_realization(self, n_realizations):
+        def accepted(n):
+            try:
+                return SimConfig(n_samples=n, n_realizations=n_realizations)
+            except ValueError as exc:
+                assert "n_samples" in str(exc)
+                return None
+
+        shortest = next(c for c in map(accepted, range(1, 1000)) if c is not None)
+        for i in range(n_realizations):
+            build_realization(shortest, i)
+
 
 class TestBuildRealization:
     def test_shape_and_labels(self, default_config, realization0):

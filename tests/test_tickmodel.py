@@ -1,14 +1,17 @@
 """Tests for the tick-cost dataflow model of both pipelines."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 import gammasep as g
+from gammasep import despike, tfmap
 from gammasep.swt import wavelet_filters
 from gammasep.tfmap import MorletParams, map_row
 from gammasep.tickmodel import (
+    ACCELERATOR_COUNTS,
     REPETITIONS,
-    PipelineConfig,
     Stage,
     benchmark_report,
     mapping_stages,
@@ -54,79 +57,66 @@ class TestStages:
 class TestSeparationPipeline:
     def test_serial_and_paired_totals(self, workload):
         x = workload.data[2]
-        _, serial = run_pipeline(x, PipelineConfig(accelerators=0))
-        _, paired = run_pipeline(x, PipelineConfig(accelerators=2))
-        assert serial.total_ticks == 855000
-        assert paired.total_ticks == 450000
-        assert 1.8 <= serial.total_ticks / paired.total_ticks <= 2.1
+        _, report = run_pipeline(x)
+        assert report.ticks == {0: 855000, 2: 450000}
+        assert 1.8 <= report.ticks[0] / report.ticks[2] <= 2.1
 
     def test_output_matches_the_software_path(self, workload):
         x = workload.data[2]
-        out, _ = run_pipeline(x, PipelineConfig(accelerators=0))
+        out, _ = run_pipeline(x)
         reference = g.separate(x, 85.0, FS).oscillatory
         assert np.array_equal(out, reference)
 
     def test_outputs_identical_across_accelerators(self, workload):
+        # one run priced under every schedule: one output, one checksum
         x = workload.data[2]
-        out0, rep0 = run_pipeline(x, PipelineConfig(accelerators=0))
-        out2, rep2 = run_pipeline(x, PipelineConfig(accelerators=2))
-        assert np.array_equal(out0, out2)
-        assert rep0.output_checksum == rep2.output_checksum
+        out, report = run_pipeline(x)
+        assert set(report.ticks) == set(ACCELERATOR_COUNTS)
+        assert report.output_checksum == zlib.crc32(out.tobytes())
 
     def test_ticks_do_not_depend_on_the_data(self, workload):
         other, _ = g.build_realization(g.SimConfig(), 7)
-        out_a, a = run_pipeline(workload.data[2], PipelineConfig())
-        out_b, b = run_pipeline(other.data[0], PipelineConfig())
+        out_a, a = run_pipeline(workload.data[2])
+        out_b, b = run_pipeline(other.data[0])
         assert not np.array_equal(out_a, out_b)
-        assert a.total_ticks == b.total_ticks
-        assert a.per_stage_ticks == b.per_stage_ticks
+        assert a.ticks == b.ticks
 
     def test_custom_capacity_accepted(self):
         # the model meters an input of any length
         x = np.zeros(512)
         x[100:150] = np.sin(np.arange(50))
-        out, report = run_pipeline(x, PipelineConfig())
+        out, report = run_pipeline(x)
         assert out.size == 512
-        assert report.total_ticks > 0
+        assert report.ticks[0] > 0
 
 
 class TestMappingPipeline:
     def test_serial_and_split_totals(self, workload, params):
         x = workload.data[2]
-        _, serial = run_mapping_pipeline(x, PipelineConfig(0), params, BAND)
-        _, split = run_mapping_pipeline(x, PipelineConfig(2), params, BAND)
-        assert serial.total_ticks == 9340000
-        assert split.total_ticks == 4670000
-        assert 2.0 <= serial.total_ticks / split.total_ticks <= 2.4
+        _, report = run_mapping_pipeline(x, params, BAND)
+        assert report.ticks == {0: 9340000, 2: 4670000}
+        assert 2.0 <= report.ticks[0] / report.ticks[2] <= 2.4
 
     def test_output_matches_map_row(self, workload, params):
         x = workload.data[2]
-        out, _ = run_mapping_pipeline(x, PipelineConfig(0), params, BAND)
+        out, _ = run_mapping_pipeline(x, params, BAND)
         assert np.array_equal(out, map_row(x, BAND, params))
 
     def test_outputs_identical_across_accelerators(self, workload, params):
+        # one run priced under every schedule: one output, one checksum
         x = workload.data[2]
-        out0, rep0 = run_mapping_pipeline(x, PipelineConfig(0), params, BAND)
-        out2, rep2 = run_mapping_pipeline(x, PipelineConfig(2), params, BAND)
-        assert np.array_equal(out0, out2)
-        assert rep0.output_checksum == rep2.output_checksum
+        out, report = run_mapping_pipeline(x, params, BAND)
+        assert set(report.ticks) == set(ACCELERATOR_COUNTS)
+        assert report.output_checksum == zlib.crc32(out.tobytes())
 
     def test_any_input_length_accepted(self, params):
         x = np.zeros(700)
         x[300:350] = np.sin(np.arange(50))
-        out, report = run_mapping_pipeline(x, PipelineConfig(), params, BAND)
+        out, report = run_mapping_pipeline(x, params, BAND)
         assert np.array_equal(out, map_row(x, BAND, params))
-        assert report.total_ticks == sum(
+        assert report.ticks[0] == sum(
             s.cost for s in mapping_stages(700, params, BAND)
         )
-
-
-class TestPipelineConfig:
-    def test_rejects_odd_accelerator_counts(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(accelerators=1)
-        with pytest.raises(ValueError):
-            PipelineConfig(accelerators=3)
 
 
 class TestBenchmarkReport:
@@ -150,16 +140,36 @@ class TestBenchmarkReport:
 
     def test_rows_count_each_channel_repetitions_times(self, workload, params, report):
         x = workload.data[2]
-        _, serial = run_pipeline(x, PipelineConfig(0))
-        _, mapped = run_mapping_pipeline(x, PipelineConfig(0), params, BAND)
+        _, separated = run_pipeline(x)
+        _, mapped = run_mapping_pipeline(x, params, BAND)
         header, accel0, accel2 = report["csv"].splitlines()
         assert header.startswith("label,accelerators,")
         # ticks are structural, so all three channels cost the same
-        assert accel0.startswith(
-            f"accel0,0,{3 * REPETITIONS * serial.total_ticks},"
-            f"{3 * REPETITIONS * mapped.total_ticks},"
-        )
-        assert accel2.startswith("accel2,2,")
+        for row, a in ((accel0, 0), (accel2, 2)):
+            assert row.startswith(
+                f"accel{a},{a},{3 * REPETITIONS * separated.ticks[a]},"
+                f"{3 * REPETITIONS * mapped.ticks[a]},"
+            )
+        # both rows price the same run, so they carry the same checksums
+        assert accel0.split(",")[-2:] == accel2.split(",")[-2:]
+
+    def test_runs_each_channel_once(self, workload, monkeypatch):
+        calls = {"separate": 0, "map_row": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(despike, "separate")
+        counted(tfmap, "map_row")
+        benchmark_report(workload)
+        n = workload.n_channels
+        assert calls == {"separate": n, "map_row": n}
 
     def test_wall_clock_is_reported_separately(self, report):
         assert report["wall_clock_s"] > 0.0

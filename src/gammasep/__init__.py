@@ -22,7 +22,6 @@ from .despike import (
 from .signal_core import (
     MultiChannelSignal,
     TimeWindow,
-    channel,
     ms_to_samples,
     oscillation_duration_ms,
 )
@@ -48,7 +47,6 @@ from .tfmap import (
     BuildupDetection,
     MorletParams,
     SpatioTemporalMap,
-    band_for_target,
     bandpass,
     detect_buildup,
     envelope_smooth,
@@ -89,14 +87,12 @@ __all__ = [
     "TickReport",
     "TimeWindow",
     "WaveletCoefficients",
-    "band_for_target",
     "bandpass",
     "benchmark_report",
     "build_mask",
     "build_realization",
     "centered_conv",
     "centered_conv_complex",
-    "channel",
     "circular_conv",
     "detect_buildup",
     "detect_oscillation_center",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import despike, simulate, tfmap, tickmodel
 from .signal_core import MultiChannelSignal
-from .simulate import require_integer, require_number
+from .simulate import number_tuple, require_integer, require_number
 from .swt import wavelet_filters, wavelet_order
 
 __all__ = [
@@ -66,12 +66,12 @@ class RunConfig:
         """
         wavelet_order(self.wavelet)
         require_integer("levels", self.levels)
-        targets = _number_tuple("target_freq_hz", self.target_freq_hz)
+        targets = number_tuple("target_freq_hz", self.target_freq_hz)
         if not targets or min(targets) <= 0:
             raise ValueError(
                 f"target_freq_hz must list positive frequencies, got {list(targets)}"
             )
-        band = _number_tuple("band_hz", self.band_hz)
+        band = number_tuple("band_hz", self.band_hz)
         if len(band) != 2 or not 0 < band[0] < band[1]:
             raise ValueError(
                 f"band_hz must be [low, high] with 0 < low < high, got {list(band)}"
@@ -81,16 +81,6 @@ class RunConfig:
             raise ValueError(f"k_sigma must be positive, got {self.k_sigma}")
         object.__setattr__(self, "target_freq_hz", targets)
         object.__setattr__(self, "band_hz", band)
-
-
-def _number_tuple(key, value):
-    """`value`, a list or tuple of finite real numbers, as a tuple."""
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"{key} must be a list, got {value!r}")
-    value = tuple(value)
-    for v in value:
-        require_number(f"each {key} entry", v)
-    return value
 
 
 def load_config(path):

@@ -2,14 +2,16 @@
 wavelet coefficients.
 
 The pipeline decomposes a channel, finds where the target-band energy
-concentrates, keeps the coefficients inside a frequency-dependent time and
-scale rectangle as the oscillatory part, and reconstructs both that part and
-its complement. The two outputs always sum back to the input.
+concentrates, clears a frequency-dependent time and scale rectangle there
+to get the transient coefficients, takes the input minus them as the
+oscillatory ones, and reconstructs both. The two outputs always sum back to
+the input.
 
-The oscillatory part is synthesized only on its support. Each synthesis
-level reads its inputs at and after the output sample, up to (k-1)*2**(j-1)
-samples ahead for k taps, so over J levels a coefficient reaches at most
-(k-1)*(2**J-1) samples back: 217 for db4 over 5 levels. Coefficients that
+The oscillatory part is synthesized only on its support, and its
+coefficients are subtracted only there. Each synthesis level reads its
+inputs at and after the output sample, up to (k-1)*2**(j-1) samples ahead
+for k taps, so over J levels a coefficient reaches at most (k-1)*(2**J-1)
+samples back: 217 for db4 over 5 levels. Coefficients that
 are zero outside the window therefore give an output that is zero outside
 [window start - 217, window end). The inverse runs unchanged on that crop,
 gathered modulo n, and the result is scattered into zeros. The crop is
@@ -88,7 +90,6 @@ class RectMask:
 
     window: TimeWindow
     scales: frozenset
-    target_freq_hz: float
 
     def __post_init__(self):
         object.__setattr__(self, "scales", frozenset(int(s) for s in self.scales))
@@ -159,36 +160,31 @@ def build_mask(center_sample, target_freq_hz, sample_rate_hz, n_samples):
     return RectMask(
         window=TimeWindow(start, length),
         scales=mask_scales(target_freq_hz, sample_rate_hz),
-        target_freq_hz=float(target_freq_hz),
     )
 
 
 def threshold_coeffs(coeffs, mask):
     """Split coefficients into in-mask and complement parts.
 
-    The oscillatory part keeps detail levels named by the mask inside the
-    window and every approximation restricted to the same window; all other
-    coefficients go to the transient part, so the two sum to the input
-    coefficients exactly.
+    The transient part is `_transient_coeffs`: the deepest approximation and
+    the mask's detail levels with the window cleared, every other sequence
+    whole. The oscillatory part is the input minus it, level by level, so
+    the two sum to the input coefficients exactly, and for finite
+    coefficients the oscillatory part is the window's values there and +0.0
+    everywhere else. The shallower approximations, which the inverse
+    transform never reads, go whole to the transient part.
     """
     mask.window.check_within(coeffs.n_samples)
     if max(mask.scales) > coeffs.levels:
         raise ValueError(
             f"mask scales {sorted(mask.scales)} exceed {coeffs.levels} levels"
         )
-    indicator = mask.window.indicator(coeffs.n_samples)
-
-    def keep(seq, level, kind):
-        if kind == "detail" and level not in mask.scales:
-            return np.zeros_like(seq)
-        return seq * indicator
-
-    osc = coeffs.map_arrays(keep)
-    trans = WaveletCoefficients(
+    trans = _transient_coeffs(coeffs, mask)
+    osc = WaveletCoefficients(
         approximations=tuple(
-            a - o for a, o in zip(coeffs.approximations, osc.approximations)
+            a - t for a, t in zip(coeffs.approximations, trans.approximations)
         ),
-        details=tuple(d - o for d, o in zip(coeffs.details, osc.details)),
+        details=tuple(d - t for d, t in zip(coeffs.details, trans.details)),
         levels=coeffs.levels,
         n_samples=coeffs.n_samples,
     )
@@ -205,35 +201,25 @@ class SeparationResult:
     detection_center_sample: int
 
 
-def _oscillatory_part(coeffs, mask, filters):
-    """Inverse transform of the in-mask coefficients, run only on its support.
+def _oscillatory_part(coeffs, trans, window, filters):
+    """Inverse transform of the input minus the transient, run only on its support.
 
     The crop starts (k-1)*(2**levels-1) samples before the window, as far
     back as the inverse transform spreads a coefficient, and ends with the
     window, gathered modulo n; a crop of n or more samples is the whole
-    circle, rotated to start there. Every level outside the mask is zero.
+    circle, rotated to start there. Both coefficient sets are gathered and
+    subtracted on the crop only.
     """
     n = coeffs.n_samples
-    window = mask.window
     reach = (filters.length - 1) * (2 ** coeffs.levels - 1)
     size = min(window.length_samples + reach, n)
-    first = window.end_sample - size
-    crop = np.arange(first, window.end_sample) % n
-    inside = slice(size - window.length_samples, size)
-    zeros = np.zeros(size)
-
-    def masked(seq):
-        out = np.zeros(size)
-        out[inside] = seq[window.start_sample : window.end_sample]
-        return out
-
-    deepest = masked(coeffs.approximations[-1])
+    crop = np.arange(window.end_sample - size, window.end_sample) % n
+    deepest = coeffs.approximations[-1][crop] - trans.approximations[-1][crop]
     part = iswt_reconstruct(
         WaveletCoefficients(
-            approximations=(zeros,) * (coeffs.levels - 1) + (deepest,),
+            approximations=(np.zeros(size),) * (coeffs.levels - 1) + (deepest,),
             details=tuple(
-                masked(d) if level in mask.scales else zeros
-                for level, d in enumerate(coeffs.details, start=1)
+                d[crop] - t[crop] for d, t in zip(coeffs.details, trans.details)
             ),
             levels=coeffs.levels,
             n_samples=size,
@@ -248,10 +234,11 @@ def _oscillatory_part(coeffs, mask, filters):
 def _transient_coeffs(coeffs, mask):
     """The coefficients outside the mask: its window set to 0.0 where it keeps.
 
-    Only the deepest approximation and the masked detail levels are copied;
-    the others pass through. Each equals ``seq - seq * indicator`` bit for
-    bit: the two differ only where seq holds -0.0, which the transform
-    never emits.
+    The one home of the mask rule: the mask keeps the deepest approximation
+    and its detail levels inside its window. Those sequences are copied with
+    the window cleared; the others pass through. Each copy equals
+    ``seq - seq * indicator`` bit for bit: the two differ only where seq
+    holds -0.0, which the transform never emits.
     """
     window = slice(mask.window.start_sample, mask.window.end_sample)
 
@@ -278,11 +265,12 @@ def separate(x, target_freq_hz, sample_rate_hz, filters=None,
 
     Decompose, locate the oscillatory event, mask, reconstruct both parts.
     The transient is synthesized at full length from the coefficients
-    outside the mask. The oscillatory part is synthesized only on the
-    window plus the (k-1)*(2**levels-1) samples before it, where it can be
-    non-zero, and is exact zeros elsewhere (see the module docstring); both
-    are bit-identical to a full-length synthesis of ``threshold_coeffs``'
-    two halves. Raises NoDetectionError when nothing can be localized.
+    outside the mask. The oscillatory part, from the input minus those, is
+    synthesized only on the window plus the (k-1)*(2**levels-1) samples
+    before it, where it can be non-zero, and is exact zeros elsewhere (see
+    the module docstring); both are bit-identical to a full-length synthesis
+    of ``threshold_coeffs``' two halves. Raises NoDetectionError when
+    nothing can be localized.
     """
     x = np.asarray(x, dtype=np.float64)
     if filters is None:
@@ -293,9 +281,10 @@ def separate(x, target_freq_hz, sample_rate_hz, filters=None,
         filter_length=filters.dec_lo.size,
     )
     mask = build_mask(center, target_freq_hz, sample_rate_hz, x.size)
+    trans = _transient_coeffs(coeffs, mask)
     return SeparationResult(
-        oscillatory=_oscillatory_part(coeffs, mask, filters),
-        transient=iswt_reconstruct(_transient_coeffs(coeffs, mask), filters),
+        oscillatory=_oscillatory_part(coeffs, trans, mask.window, filters),
+        transient=iswt_reconstruct(trans, filters),
         mask_used=mask,
         detection_center_sample=center,
     )

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "MultiChannelSignal",
     "TimeWindow",
-    "channel",
     "ms_to_samples",
     "oscillation_duration_ms",
 ]
@@ -79,13 +78,6 @@ class TimeWindow:
                 f"signal length {n_samples}"
             )
 
-    def indicator(self, n_samples):
-        """Length-n 0/1 vector marking the window."""
-        self.check_within(n_samples)
-        ind = np.zeros(n_samples)
-        ind[self.start_sample : self.end_sample] = 1.0
-        return ind
-
     def overlap(self, other):
         """Number of samples shared with another window."""
         lo = max(self.start_sample, other.start_sample)
@@ -138,12 +130,3 @@ class MultiChannelSignal:
     @property
     def n_samples(self):
         return self.data.shape[1]
-
-
-def channel(signal, index):
-    """One row of the signal as a read-only 1-D view."""
-    if not 0 <= index < signal.n_channels:
-        raise IndexError(
-            f"channel index {index} out of range for {signal.n_channels} channels"
-        )
-    return signal.data[index]

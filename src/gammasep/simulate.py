@@ -56,6 +56,16 @@ def require_number(key, value):
         raise ValueError(f"{key} must be finite, got {value!r}")
 
 
+def number_tuple(key, value):
+    """`value`, a list or tuple of finite real numbers, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{key} must be a list, got {value!r}")
+    value = tuple(value)
+    for v in value:
+        require_number(f"each {key} entry", v)
+    return value
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Tunables of the simulated protocol.
@@ -63,8 +73,9 @@ class SimConfig:
     Defaults give three channels at 45/55/85 Hz demonstrating the three
     overlap regimes in order, 5000 samples at 512 Hz, 200 realizations.
     Every float setting must be finite, except snr_db, which may be +inf
-    (no noise is added). n_samples and n_realizations are positive integers
-    and rng_seed a non-negative one. The transient must span at least one
+    (no noise is added). burst_freqs_hz is a list of numbers and
+    overlap_regimes a list of as many regimes. n_samples and n_realizations
+    are positive integers and rng_seed a non-negative one. The transient must span at least one
     sample, and every burst and transient must fit inside n_samples at each
     placement `build_realization` gives it.
 
@@ -99,6 +110,8 @@ class SimConfig:
             require_number(key, getattr(self, key))
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
+        if not isinstance(self.snr_db, numbers.Real) or isinstance(self.snr_db, bool):
+            raise TypeError(f"snr_db must be a number, got {self.snr_db!r}")
         # +inf is the noiseless setting; NaN and -inf have no meaning
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db!r}")
@@ -109,15 +122,21 @@ class SimConfig:
         require_integer("n_samples", self.n_samples)
         require_integer("n_realizations", self.n_realizations)
         require_integer("rng_seed", self.rng_seed, minimum=0)
-        freqs = tuple(float(f) for f in self.burst_freqs_hz)
+        freqs = tuple(
+            float(f) for f in number_tuple("burst_freqs_hz", self.burst_freqs_hz)
+        )
         nyquist = self.sample_rate_hz / 2.0
         for f in freqs:
             if not 0 < f < nyquist:
                 raise ValueError(f"burst frequency {f} outside (0, {nyquist})")
-        regimes = tuple(
-            r if isinstance(r, OverlapRegime) else OverlapRegime(str(r))
-            for r in self.overlap_regimes
-        )
+        if not isinstance(self.overlap_regimes, (list, tuple)):
+            raise TypeError(
+                f"overlap_regimes must be a list, got {self.overlap_regimes!r}"
+            )
+        try:
+            regimes = tuple(OverlapRegime(r) for r in self.overlap_regimes)
+        except ValueError as exc:
+            raise ValueError(f"overlap_regimes: {exc}") from None
         if len(regimes) != len(freqs):
             raise ValueError(
                 f"{len(regimes)} overlap regimes for {len(freqs)} channels"

@@ -156,17 +156,6 @@ class WaveletCoefficients:
         object.__setattr__(self, "approximations", approx)
         object.__setattr__(self, "details", det)
 
-    def map_arrays(self, fn):
-        """New coefficients with fn applied to every sequence (level-aware)."""
-        return WaveletCoefficients(
-            approximations=tuple(
-                fn(a, j + 1, "approx") for j, a in enumerate(self.approximations)
-            ),
-            details=tuple(fn(d, j + 1, "detail") for j, d in enumerate(self.details)),
-            levels=self.levels,
-            n_samples=self.n_samples,
-        )
-
 
 def swt_decompose(x, filters, levels):
     """Undecimated analysis of a 1-D signal over the given number of levels.

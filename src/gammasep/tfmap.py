@@ -49,7 +49,6 @@ __all__ = [
     "BuildupDetection",
     "MorletParams",
     "SpatioTemporalMap",
-    "band_for_target",
     "bandpass",
     "bandpass_taps",
     "detect_buildup",
@@ -63,8 +62,9 @@ __all__ = [
     "spatiotemporal_map",
 ]
 
-DEFAULT_W0 = 6.0
-DEFAULT_S = 1.0
+# Morlet center frequency (radians per dilated sample) and Gaussian spread
+MORLET_W0 = 6.0
+MORLET_S = 1.0
 SMOOTH_WIDTH = 256
 LOW_BAND_HZ = (10.0, 15.0)
 RUN_LENGTH = 64
@@ -79,27 +79,16 @@ RAMP_FRACTION = 0.5 - RUN_LENGTH / SMOOTH_WIDTH
 _ENVELOPE_FLOOR = 1e-6
 
 
-def band_for_target(target_freq_hz):
-    """Analysis band, in Hz, assigned to an oscillation target.
-
-    Each target gets the 10 Hz band centered on it: 45 -> (40, 50),
-    55 -> (50, 60), 85 -> (80, 90).
-    """
-    if target_freq_hz <= 0:
-        raise ValueError(f"target_freq_hz must be positive, got {target_freq_hz}")
-    return (float(target_freq_hz) - 5.0, float(target_freq_hz) + 5.0)
-
-
-def scale_for_frequency(freq_hz, sample_rate_hz, w0=DEFAULT_W0):
-    """Dilation whose pseudo-frequency is freq_hz: fs * w0 / (2 pi f).
+def scale_for_frequency(freq_hz, sample_rate_hz):
+    """Dilation whose pseudo-frequency is freq_hz: fs * MORLET_W0 / (2 pi f).
 
     The map is its own inverse, so passing a dilation returns the center
     frequency in Hz that the dilation responds to.
     """
-    return sample_rate_hz * w0 / (2.0 * math.pi * freq_hz)
+    return sample_rate_hz * MORLET_W0 / (2.0 * math.pi * freq_hz)
 
 
-def scales_for_band(band_hz, sample_rate_hz, w0=DEFAULT_W0):
+def scales_for_band(band_hz, sample_rate_hz):
     """Dilation values whose pseudo-frequencies tile the band at 1 Hz steps.
 
     Both endpoints are included when they are whole numbers of Hz.
@@ -110,21 +99,17 @@ def scales_for_band(band_hz, sample_rate_hz, w0=DEFAULT_W0):
     freqs = np.arange(math.ceil(low), math.floor(high) + 1, dtype=np.float64)
     if freqs.size == 0:
         freqs = np.array([(low + high) / 2.0])
-    return tuple(scale_for_frequency(f, sample_rate_hz, w0) for f in freqs)
+    return tuple(scale_for_frequency(f, sample_rate_hz) for f in freqs)
 
 
 @dataclass(frozen=True)
 class MorletParams:
-    """Complex-wavelet parameters: center frequency w0, spread s, dilations."""
+    """Morlet dilations at a sample rate; MORLET_W0 and MORLET_S fix the shape."""
 
     sample_rate_hz: float
     scales: tuple
-    w0: float = DEFAULT_W0
-    s: float = DEFAULT_S
 
     def __post_init__(self):
-        if self.w0 <= 0 or self.s <= 0:
-            raise ValueError("w0 and s must be positive")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
         scales = tuple(float(a) for a in self.scales)
@@ -133,32 +118,31 @@ class MorletParams:
         object.__setattr__(self, "scales", scales)
 
     @classmethod
-    def for_band(cls, band_hz, sample_rate_hz, w0=DEFAULT_W0, s=DEFAULT_S):
+    def for_band(cls, band_hz, sample_rate_hz):
         return cls(
             sample_rate_hz=sample_rate_hz,
-            scales=scales_for_band(band_hz, sample_rate_hz, w0),
-            w0=w0,
-            s=s,
+            scales=scales_for_band(band_hz, sample_rate_hz),
         )
 
 
-def _morlet_radius(params, a):
+def _morlet_radius(a):
     """Half-length of `morlet_kernel(params, a)`: samples each side of center."""
-    return int(math.floor(a * params.s * math.sqrt(-2.0 * math.log(_ENVELOPE_FLOOR))))
+    return int(math.floor(a * MORLET_S * math.sqrt(-2.0 * math.log(_ENVELOPE_FLOOR))))
 
 
 def morlet_kernel(params, a):
     """Discrete complex kernel at one dilation, unit sample spacing.
 
-    The complex exponential at w0/a rides a Gaussian of spread a*s, scaled
-    by 1/a, truncated where the envelope drops below 1e-6 of its peak.
+    The complex exponential at MORLET_W0/a rides a Gaussian of spread
+    a*MORLET_S, scaled by 1/a, truncated where the envelope drops below
+    1e-6 of its peak.
     """
     if a <= 0:
         raise ValueError(f"dilation must be positive, got {a}")
-    radius = _morlet_radius(params, a)
+    radius = _morlet_radius(a)
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     u = t / a
-    return (1.0 / a) * np.exp(1j * params.w0 * u) * np.exp(-(u * u) / (2.0 * params.s ** 2))
+    return (1.0 / a) * np.exp(1j * MORLET_W0 * u) * np.exp(-(u * u) / (2.0 * MORLET_S ** 2))
 
 
 def morlet_transform(x, params):
@@ -306,7 +290,7 @@ def _map_reach(params):
     722 for 40-50 Hz at 512 Hz.
     """
     bandpass_span = _bandpass_length(params.sample_rate_hz) - 1
-    morlet_span = 2 * _morlet_radius(params, max(params.scales))
+    morlet_span = 2 * _morlet_radius(max(params.scales))
     return bandpass_span + morlet_span + SMOOTH_WIDTH
 
 
@@ -355,9 +339,9 @@ def map_row(x, band_hz, params):
 def spatiotemporal_map(signal, band_hz):
     """Normalized band-energy map of every channel of a signal.
 
-    Every row is `map_row` with `MorletParams.for_band`: the default w0 and
-    s, and scales at 1 Hz pseudo-frequency spacing over the band. A channel
-    whose energy overflows raises ValueError prefixed with its label.
+    Every row is `map_row` with `MorletParams.for_band`: scales at 1 Hz
+    pseudo-frequency spacing over the band. A channel whose energy
+    overflows raises ValueError prefixed with its label.
     """
     low, high = band_hz
     if not 0 < low < high < signal.sample_rate_hz / 2.0:

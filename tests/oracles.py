@@ -9,6 +9,8 @@ the map chain run over every sample of a row, and `full_separate`, both
 syntheses run over every sample of a channel: they are built from the
 package's own stages, because they are the references for the crops that
 `tfmap.map_row` and `despike.separate` make, not for the stages themselves.
+`full_separate` still splits the coefficients with its own indicator
+arithmetic, so that it checks the package's mask rule instead of reusing it.
 """
 
 import numpy as np
@@ -208,16 +210,16 @@ def full_map_row(x, band_hz, params):
 
 
 def full_separate(x, target_freq_hz, sample_rate_hz, filters, levels=5):
-    """Both parts synthesized over every sample from threshold_coeffs' halves.
+    """Both parts synthesized over every sample, masked by a 0/1 indicator.
 
-    Returns (oscillatory, transient, mask).
+    The package places the mask; the split is plain arithmetic, as in
+    ref_separate: the oscillatory part is every approximation and the
+    mask's detail levels times the indicator, zeros at the other levels,
+    and the transient part is the input minus it. Returns (oscillatory,
+    transient, mask).
     """
-    from gammasep.despike import (
-        build_mask,
-        detect_oscillation_center,
-        threshold_coeffs,
-    )
-    from gammasep.swt import iswt_reconstruct, swt_decompose
+    from gammasep.despike import build_mask, detect_oscillation_center
+    from gammasep.swt import WaveletCoefficients, iswt_reconstruct, swt_decompose
 
     x = np.asarray(x, dtype=np.float64)
     coeffs = swt_decompose(x, filters, levels)
@@ -225,8 +227,27 @@ def full_separate(x, target_freq_hz, sample_rate_hz, filters, levels=5):
         coeffs, target_freq_hz, sample_rate_hz, filter_length=filters.length
     )
     mask = build_mask(center, target_freq_hz, sample_rate_hz, x.size)
-    osc, trans = threshold_coeffs(coeffs, mask)
-    return iswt_reconstruct(osc, filters), iswt_reconstruct(trans, filters), mask
+    window = np.zeros(x.size)
+    window[mask.window.start_sample : mask.window.end_sample] = 1.0
+    osc_approx = [a * window for a in coeffs.approximations]
+    osc_details = [
+        d * window if level in mask.scales else np.zeros(x.size)
+        for level, d in enumerate(coeffs.details, start=1)
+    ]
+
+    def synthesized(approximations, details):
+        return iswt_reconstruct(
+            WaveletCoefficients(tuple(approximations), tuple(details),
+                                levels, x.size),
+            filters,
+        )
+
+    osc = synthesized(osc_approx, osc_details)
+    trans = synthesized(
+        [a - o for a, o in zip(coeffs.approximations, osc_approx)],
+        [d - o for d, o in zip(coeffs.details, osc_details)],
+    )
+    return osc, trans, mask
 
 
 def median_buildup(values, k_sigma, sample_rate_hz):

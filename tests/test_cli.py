@@ -144,6 +144,12 @@ class TestLoadConfig:
             ("transient_amplitude_uv", -math.inf, "transient_amplitude_uv must be"),
             ("snr_db", math.nan, "snr_db must be finite or \\+inf"),
             ("snr_db", -math.inf, "snr_db must be finite or \\+inf"),
+            ("snr_db", True, "snr_db must be a number"),
+            ("snr_db", "5", "snr_db must be a number"),
+            ("burst_freqs_hz", "555", "burst_freqs_hz must be a list"),
+            ("burst_freqs_hz", [True, 55, 85], "each burst_freqs_hz entry must be a"),
+            ("burst_freqs_hz", ["a", 55, 85], "each burst_freqs_hz entry must be a"),
+            ("overlap_regimes", 5, "overlap_regimes must be a list"),
             ("rng_seed", 1.5, "rng_seed must be an integer"),
             ("rng_seed", True, "rng_seed must be an integer"),
             ("rng_seed", -3, "rng_seed must be >= 0"),
@@ -198,6 +204,13 @@ BAD_REGIME = {"overlap_regimes": ["sideways", "overlapped", "fully_overlapped"]}
             {"n_realizations": 2.5},
             {"transient_width_ms": 0.5},
             {"n_samples": 100},
+            {"burst_freqs_hz": "555"},
+            {"burst_freqs_hz": [True, 55, 85]},
+            {"burst_freqs_hz": ["a", 55, 85]},
+            {"burst_freqs_hz": "abc"},
+            {"snr_db": True},
+            {"snr_db": "5"},
+            {"overlap_regimes": 5},
         )
         for named, value in setting.items()
     ],

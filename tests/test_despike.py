@@ -69,16 +69,16 @@ class TestMaskScales:
 
 class TestRectMask:
     def test_freezes_scales(self):
-        mask = RectMask(TimeWindow(0, 10), {2, 3}, 55.0)
+        mask = RectMask(TimeWindow(0, 10), {2, 3})
         assert mask.scales == frozenset({2, 3})
 
     def test_rejects_empty_scales(self):
         with pytest.raises(ValueError):
-            RectMask(TimeWindow(0, 10), set(), 55.0)
+            RectMask(TimeWindow(0, 10), set())
 
     def test_rejects_scales_below_one(self):
         with pytest.raises(ValueError):
-            RectMask(TimeWindow(0, 10), {0, 1}, 55.0)
+            RectMask(TimeWindow(0, 10), {0, 1})
 
 
 class TestBuildMask:
@@ -155,7 +155,7 @@ class TestDetection:
 class TestThresholdCoeffs:
     def test_parts_sum_back_to_the_input_coefficients(self, db4, rng):
         coeffs = swt_decompose(rng.standard_normal(256), db4, 5)
-        mask = RectMask(TimeWindow(100, 50), {1, 2}, 85.0)
+        mask = RectMask(TimeWindow(100, 50), {1, 2})
         osc, trans = threshold_coeffs(coeffs, mask)
         for level in range(5):
             np.testing.assert_array_equal(
@@ -166,10 +166,19 @@ class TestThresholdCoeffs:
                 coeffs.approximations[level],
             )
 
+    def test_shallower_approximations_go_whole_to_the_transient(self, db4, rng):
+        coeffs = swt_decompose(rng.standard_normal(256), db4, 5)
+        mask = RectMask(TimeWindow(100, 50), {1, 2})
+        osc, trans = threshold_coeffs(coeffs, mask)
+        for level in range(4):
+            assert same_bits(trans.approximations[level], coeffs.approximations[level])
+            assert same_bits(osc.approximations[level], np.zeros(256))
+        assert np.all(trans.approximations[4][100:150] == 0.0)
+
     def test_full_mask_is_the_identity(self, db4, rng):
         x = rng.standard_normal(256)
         coeffs = swt_decompose(x, db4, 5)
-        mask = RectMask(TimeWindow(0, 256), {1, 2, 3, 4, 5}, 85.0)
+        mask = RectMask(TimeWindow(0, 256), {1, 2, 3, 4, 5})
         osc, trans = threshold_coeffs(coeffs, mask)
         for level in range(5):
             np.testing.assert_array_equal(osc.details[level], coeffs.details[level])
@@ -179,7 +188,7 @@ class TestThresholdCoeffs:
 
     def test_excluded_scales_carry_nothing(self, db4, rng):
         coeffs = swt_decompose(rng.standard_normal(256), db4, 5)
-        mask = RectMask(TimeWindow(64, 64), {2, 3}, 55.0)
+        mask = RectMask(TimeWindow(64, 64), {2, 3})
         osc, _ = threshold_coeffs(coeffs, mask)
         assert np.all(osc.details[0] == 0.0)
         assert np.all(osc.details[3] == 0.0)
@@ -187,8 +196,8 @@ class TestThresholdCoeffs:
 
     def test_kept_coefficients_grow_with_the_window(self, db4, rng):
         coeffs = swt_decompose(rng.standard_normal(256), db4, 5)
-        small = RectMask(TimeWindow(100, 40), {1, 2}, 85.0)
-        large = RectMask(TimeWindow(80, 120), {1, 2, 3}, 85.0)
+        small = RectMask(TimeWindow(100, 40), {1, 2})
+        large = RectMask(TimeWindow(80, 120), {1, 2, 3})
         osc_small, _ = threshold_coeffs(coeffs, small)
         osc_large, _ = threshold_coeffs(coeffs, large)
         for level in range(5):
@@ -198,13 +207,13 @@ class TestThresholdCoeffs:
 
     def test_mask_outside_signal_rejected(self, db4, rng):
         coeffs = swt_decompose(rng.standard_normal(128), db4, 3)
-        mask = RectMask(TimeWindow(100, 40), {1, 2}, 85.0)
+        mask = RectMask(TimeWindow(100, 40), {1, 2})
         with pytest.raises(ValueError):
             threshold_coeffs(coeffs, mask)
 
     def test_mask_deeper_than_coeffs_rejected(self, db4, rng):
         coeffs = swt_decompose(rng.standard_normal(128), db4, 2)
-        mask = RectMask(TimeWindow(0, 64), {2, 3}, 55.0)
+        mask = RectMask(TimeWindow(0, 64), {2, 3})
         with pytest.raises(ValueError):
             threshold_coeffs(coeffs, mask)
 
@@ -337,6 +346,18 @@ class TestSupportLocalSynthesis:
         for row in signal.data:
             for freq in (45.0, 55.0, 85.0):
                 assert_matches_full_synthesis(row, freq, db4)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_threshold_coeffs_halves_give_the_same_parts(self, db4, index):
+        signal, _ = g.build_realization(g.SimConfig(), index)
+        for row in signal.data:
+            for freq in (45.0, 55.0, 85.0):
+                result = separate(row, freq, FS, db4)
+                osc, trans = threshold_coeffs(
+                    swt_decompose(row, db4, 5), result.mask_used
+                )
+                assert same_bits(g.iswt_reconstruct(osc, db4), result.oscillatory)
+                assert same_bits(g.iswt_reconstruct(trans, db4), result.transient)
 
     def test_matches_full_synthesis_on_a_long_channel(self, db4):
         config = g.SimConfig(n_samples=30720)

@@ -6,7 +6,6 @@ import pytest
 from gammasep.signal_core import (
     MultiChannelSignal,
     TimeWindow,
-    channel,
     ms_to_samples,
     oscillation_duration_ms,
 )
@@ -65,10 +64,6 @@ class TestTimeWindow:
         with pytest.raises(ValueError):
             TimeWindow(5, 6).check_within(10)
 
-    def test_indicator(self):
-        ind = TimeWindow(2, 3).indicator(6)
-        np.testing.assert_array_equal(ind, [0, 0, 1, 1, 1, 0])
-
     def test_overlap(self):
         a = TimeWindow(0, 10)
         assert a.overlap(TimeWindow(5, 10)) == 5
@@ -118,16 +113,3 @@ class TestMultiChannelSignal:
         sig = MultiChannelSignal(512.0, (1, 2), np.zeros((2, 4)))
         assert sig.channel_labels == ("1", "2")
 
-
-def test_channel_returns_matching_row(rng):
-    data = rng.standard_normal((3, 20))
-    sig = MultiChannelSignal(512.0, ("x", "y", "z"), data)
-    np.testing.assert_array_equal(channel(sig, 1), data[1])
-
-
-def test_channel_rejects_bad_index(rng):
-    sig = MultiChannelSignal(512.0, ("x",), rng.standard_normal((1, 20)))
-    with pytest.raises(IndexError):
-        channel(sig, 1)
-    with pytest.raises(IndexError):
-        channel(sig, -1)

@@ -124,7 +124,7 @@ class TestSimConfig:
         assert config.overlap_regimes == (OverlapRegime.SEPARATED,)
 
     def test_rejects_unknown_regime(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="overlap_regimes: 'sideways'"):
             SimConfig(burst_freqs_hz=(45.0,), overlap_regimes=("sideways",))
 
     def test_rejects_supra_nyquist_burst(self):
@@ -149,6 +149,22 @@ class TestSimConfig:
     def test_rejects_meaningless_snr(self, bad):
         with pytest.raises(ValueError, match="snr_db"):
             SimConfig(snr_db=bad)
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("burst_freqs_hz", "555"),
+            ("burst_freqs_hz", "abc"),
+            ("burst_freqs_hz", (True, 55.0, 85.0)),
+            ("burst_freqs_hz", ("a", 55.0, 85.0)),
+            ("snr_db", True),
+            ("snr_db", "5"),
+            ("overlap_regimes", 5),
+        ],
+    )
+    def test_rejects_mistyped_settings(self, key, bad):
+        with pytest.raises(TypeError, match=key):
+            SimConfig(**{key: bad})
 
     @pytest.mark.parametrize("width", [0.0, -5.0])
     def test_rejects_nonpositive_transient_width(self, width):
@@ -222,11 +238,11 @@ class TestBuildRealization:
         signal, truth = build_realization(config, 0)
         for ch, ct in enumerate(truth.channels):
             x = signal.data[ch]
-            union = ct.burst_window.indicator(x.size) + ct.transient_window.indicator(
-                x.size
-            )
-            assert np.all(x[union == 0] == 0.0)
-            inside = np.sum(x[union > 0] ** 2)
+            union = np.zeros(x.size, dtype=bool)
+            for window in (ct.burst_window, ct.transient_window):
+                union[window.start_sample : window.end_sample] = True
+            assert np.all(x[~union] == 0.0)
+            inside = np.sum(x[union] ** 2)
             assert inside / np.sum(x**2) >= 0.999
 
     def test_clean_part_reproducible_from_truth(self):

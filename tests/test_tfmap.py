@@ -17,7 +17,6 @@ from gammasep.tfmap import (
     BuildupDetection,
     MorletParams,
     SpatioTemporalMap,
-    band_for_target,
     bandpass,
     bandpass_taps,
     detect_buildup,
@@ -43,25 +42,13 @@ def sine(freq, n=4096, fs=FS):
     return np.sin(2.0 * np.pi * freq * np.arange(n) / fs)
 
 
-class TestBandForTarget:
-    def test_ten_hz_band_centered_on_target(self):
-        assert band_for_target(45.0) == (40.0, 50.0)
-        assert band_for_target(55.0) == (50.0, 60.0)
-        assert band_for_target(85.0) == (80.0, 90.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            band_for_target(0.0)
-
-
 class TestScales:
     def test_scale_for_frequency_is_its_own_inverse(self):
         for freq in (40.0, 55.0, 85.0):
-            for w0 in (6.0, 5.0):
-                a = scale_for_frequency(freq, FS, w0)
-                assert a != pytest.approx(freq)
-                back = scale_for_frequency(a, FS, w0)
-                assert back == pytest.approx(freq, abs=1e-9)
+            a = scale_for_frequency(freq, FS)
+            assert a != pytest.approx(freq)
+            back = scale_for_frequency(a, FS)
+            assert back == pytest.approx(freq, abs=1e-9)
 
     def test_band_tiled_at_one_hz(self):
         scales = scales_for_band(BAND, FS)
@@ -85,11 +72,8 @@ class TestMorletParams:
     def test_for_band_builds_the_scale_list(self):
         params = MorletParams.for_band(BAND, FS)
         assert len(params.scales) == 11
-        assert params.w0 == 6.0 and params.s == 1.0
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            MorletParams(sample_rate_hz=FS, scales=(1.0,), w0=0.0)
         with pytest.raises(ValueError):
             MorletParams(sample_rate_hz=FS, scales=())
         with pytest.raises(ValueError):
@@ -326,7 +310,7 @@ class TestMapRow:
         assert np.max(np.abs(whole - parts)) > 0.5 * whole.max()
 
 
-TARGET_BANDS = [band_for_target(f) for f in (45.0, 55.0, 85.0)]
+TARGET_BANDS = [(40.0, 50.0), (50.0, 60.0), (80.0, 90.0)]
 
 
 @st.composite

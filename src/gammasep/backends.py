@@ -2,19 +2,30 @@
 
 The circular kernel builds one wrap-padded copy of the input per call and
 accumulates the taps in ascending order, each as a product with a slice of
-that copy, so its output is reproducible to the bit. The centered kernels
-ride ``np.convolve``.
+that copy, so its output is reproducible to the bit. The real centered
+kernel rides ``np.convolve``. The complex one applies a bank of kernels as
+one matrix product: every output sample is the dot of the same input
+window with the same tap column, wherever the sample sits in the input.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "centered_conv",
     "centered_conv_complex",
     "circular_conv",
 ]
+
+# bytes of input windows that one block of the bank product copies
+BLOCK_BYTES = 256 * 1024
+# every product has a multiple of BLOCK_ALIGN windows and 2 * BANK_WIDTH
+# columns, so each output sample meets the same BLAS micro-kernel, wherever
+# it sits in the input and whichever bank its kernel belongs to
+BLOCK_ALIGN = 64
+BANK_WIDTH = 12
 
 
 def circular_conv(x, taps, stride=1):
@@ -60,11 +71,55 @@ def centered_conv(x, taps):
     return np.convolve(x, taps, mode="full")[off : off + x.shape[0]]
 
 
+def _block_rows(k):
+    """Windows per block: BLOCK_BYTES of k-sample windows, rounded down to a
+    multiple of BLOCK_ALIGN and never fewer than BLOCK_ALIGN."""
+    return max(1, BLOCK_BYTES // (8 * k) // BLOCK_ALIGN) * BLOCK_ALIGN
+
+
 def centered_conv_complex(x, taps):
-    """Like :func:`centered_conv` but with complex taps, for analytic kernels."""
+    """Like :func:`centered_conv` but with complex taps, for analytic kernels.
+
+    ``taps`` is one kernel ``(k,)`` or a bank ``(rows, k)`` of kernels of
+    one length; the result is ``(n,)`` or ``(rows, n)``, C-ordered complex.
+    Kernels of different odd lengths share a bank when each is centered and
+    zero-padded to the longest, since zero taps move no output.
+
+    The sliding k-sample windows of the zero-padded input are multiplied by
+    ``(k, 2 * BANK_WIDTH)`` matrices that hold the flipped real and
+    imaginary taps of up to BANK_WIDTH kernels, interleaved, so a product
+    row is the complex response of every kernel. The windows are copied in
+    blocks of about BLOCK_BYTES, so the copy stays small whatever the kernel
+    length. All products have one shape, up to a last block cut to a whole
+    number of BLOCK_ALIGN windows: an output sample is therefore the same
+    sum of the same products wherever it sits in the input (the crop of
+    `tfmap.map_row` rests on this) and whichever bank holds its kernel. The
+    sums run in the BLAS library's order, so another BLAS build can differ
+    in the last bits.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    taps = np.ascontiguousarray(taps, dtype=np.complex128)
-    off = (taps.shape[0] - 1) // 2
-    return np.convolve(x.astype(np.complex128), taps, mode="full")[
-        off : off + x.shape[0]
-    ]
+    taps = np.asarray(taps, dtype=np.complex128)
+    bank = taps.reshape(-1, taps.shape[-1])
+    rows, k = bank.shape
+    n = x.shape[0]
+    groups = -(-rows // BANK_WIDTH)
+    # a complex column is a real and an imaginary float column, so each row
+    # of a product views as the complex responses of BANK_WIDTH kernels
+    columns = np.zeros((k, groups * BANK_WIDTH), dtype=np.complex128)
+    columns[:, :rows] = bank[:, ::-1].T
+    weights = np.ascontiguousarray(
+        columns.view(np.float64).reshape(k, groups, 2 * BANK_WIDTH).transpose(1, 0, 2)
+    )
+    padded = -(-n // BLOCK_ALIGN) * BLOCK_ALIGN
+    off = (k - 1) // 2
+    windows = sliding_window_view(np.pad(x, (k - 1 - off, off + padded - n)), k)
+    step = _block_rows(k)
+    out = np.empty((rows, n), dtype=np.complex128)
+    for lo in range(0, n, step):
+        block = np.ascontiguousarray(windows[lo : lo + step])
+        hi = min(lo + step, n)
+        for g in range(groups):
+            response = (block @ weights[g]).view(np.complex128)
+            dest = out[g * BANK_WIDTH : (g + 1) * BANK_WIDTH, lo:hi]
+            dest[...] = response[: hi - lo, : dest.shape[0]].T
+    return out[0] if taps.ndim == 1 else out

@@ -137,13 +137,15 @@ def mapping_stages(n_samples, params, band_hz):
 
     A band-pass FIR, one convolution per scale, the cross-scale energy mean,
     the wide smoother, the low-band normalization path, and the final
-    division.
+    division. Each scale is priced at its own kernel length, although
+    `tfmap.morlet_transform` applies all of them as one bank zero-padded to
+    the longest.
     """
     n = int(n_samples)
     bp_len = tfmap.bandpass_taps(band_hz, params.sample_rate_hz).size
     stages = [Stage("bandpass_band", n, bp_len)]
     for i, a in enumerate(params.scales):
-        klen = morlet_kernel(params, a).size
+        klen = morlet_kernel(a).size
         stages.append(Stage(f"scale_conv_{i}", n, klen))
     stages.append(Stage("band_energy_mean", n, len(params.scales)))
     stages.append(Stage("smooth_band", n, tfmap.SMOOTH_WIDTH))

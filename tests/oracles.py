@@ -65,6 +65,22 @@ def roll_conv(x, taps, stride=1):
     return y
 
 
+def convolve_complex(x, taps):
+    """Centered complex convolution, one np.convolve per kernel.
+
+    taps is one kernel (k,) or a stack (rows, k). Output sample i is
+    sample i + (k - 1) // 2 of the full convolution of the complex input.
+    """
+    x = np.asarray(x, dtype=np.float64).astype(np.complex128)
+    taps = np.asarray(taps, dtype=np.complex128)
+    off = (taps.shape[-1] - 1) // 2
+    rows = [
+        np.convolve(x, kernel)[off : off + x.size]
+        for kernel in taps.reshape(-1, taps.shape[-1])
+    ]
+    return rows[0] if taps.ndim == 1 else np.array(rows)
+
+
 def first_sustained_run(flags, run_length):
     """Start of the earliest run of at least run_length True flags, else -1."""
     count = 0

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gammasep as g
 from gammasep import backends
-from oracles import loop_conv, roll_conv, same_bits
+from oracles import convolve_complex, loop_conv, roll_conv, same_bits
 
 _samples = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -147,3 +148,68 @@ def test_centered_conv_complex_matches_real_parts(rng):
     np.testing.assert_allclose(
         y.imag, backends.centered_conv(x, taps.imag), atol=1e-12
     )
+
+
+@st.composite
+def bank_problems(draw):
+    # kernels short and long (past 512 taps a block is BLOCK_ALIGN windows),
+    # one kernel or a bank of up to three products, and inputs shorter than
+    # a kernel or one window either side of a block boundary
+    k = draw(st.one_of(st.integers(1, 140), st.integers(500, 700)))
+    rows = draw(st.sampled_from([None, 1, 2, 11, 13, 25]))
+    block = backends._block_rows(k)
+    n = draw(st.one_of(
+        st.integers(1, 3000),
+        st.integers(1, k),
+        st.sampled_from([block - 1, block, block + 1]),
+    ))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (k,) if rows is None else (rows, k)
+    taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return scale * rng.standard_normal(n), taps
+
+
+@settings(deadline=None, max_examples=60)
+@given(bank_problems())
+def test_centered_conv_complex_matches_per_kernel_convolution(problem):
+    x, taps = problem
+    got = backends.centered_conv_complex(x, taps)
+    want = convolve_complex(x, taps)
+    assert got.shape == want.shape
+    assert got.dtype == np.complex128 and got.flags.c_contiguous
+    err = np.max(np.abs(got - want), axis=-1)
+    assert np.all(err <= 1e-13 * np.max(np.abs(want), axis=-1))
+
+
+@settings(deadline=None, max_examples=30)
+@given(bank_problems())
+def test_bank_rows_equal_single_kernels_exactly(problem):
+    x, taps = problem
+    bank = np.atleast_2d(taps)
+    out = backends.centered_conv_complex(x, bank)
+    for kernel, row in zip(bank, out):
+        assert same_bits(backends.centered_conv_complex(x, kernel), row)
+
+
+@settings(deadline=None, max_examples=40)
+@given(bank_problems(), st.integers(0, 1000), st.integers(0, 1000))
+def test_output_does_not_depend_on_where_a_sample_sits(problem, before, after):
+    # map_row's crop is bit-exact only if zeros around the input move no bit
+    # of the samples they do not reach
+    x, taps = problem
+    padded = np.concatenate((np.zeros(before), x, np.zeros(after)))
+    moved = backends.centered_conv_complex(padded, taps)
+    assert same_bits(
+        moved[..., before : before + x.size], backends.centered_conv_complex(x, taps)
+    )
+
+
+def test_morlet_banks_match_per_scale_convolution(rng):
+    x = rng.standard_normal(5000)
+    for band in ((80.0, 90.0), (40.0, 50.0), (10.0, 15.0)):
+        params = g.MorletParams.for_band(band, 512.0)
+        response = g.morlet_transform(x, params)
+        for a, row in zip(params.scales, response):
+            want = convolve_complex(x, g.morlet_kernel(a))
+            assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))

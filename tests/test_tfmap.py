@@ -1,6 +1,9 @@
 """Tests for the band energy maps and the build-up detector."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -84,19 +87,16 @@ class TestMorletParams:
 
 class TestMorletKernel:
     def test_center_value_is_inverse_dilation(self):
-        params = MorletParams(sample_rate_hz=FS, scales=(5.0,))
-        kernel = morlet_kernel(params, 5.0)
+        kernel = morlet_kernel(5.0)
         center = kernel.size // 2
         assert kernel[center] == pytest.approx(1.0 / 5.0, abs=1e-12)
 
     def test_kernel_is_conjugate_symmetric(self):
-        params = MorletParams(sample_rate_hz=FS, scales=(4.0,))
-        kernel = morlet_kernel(params, 4.0)
+        kernel = morlet_kernel(4.0)
         np.testing.assert_allclose(kernel, np.conj(kernel[::-1]), atol=1e-12)
 
     def test_real_and_imaginary_parts_are_near_orthogonal(self):
-        params = MorletParams(sample_rate_hz=FS, scales=(6.0,))
-        kernel = morlet_kernel(params, 6.0)
+        kernel = morlet_kernel(6.0)
         re, im = kernel.real, kernel.imag
         cosang = abs(np.dot(re, im)) / (
             np.linalg.norm(re) * np.linalg.norm(im)
@@ -104,15 +104,13 @@ class TestMorletKernel:
         assert cosang <= 0.01
 
     def test_length_follows_the_envelope_floor(self):
-        params = MorletParams(sample_rate_hz=FS, scales=(6.0,))
-        kernel = morlet_kernel(params, 6.0)
+        kernel = morlet_kernel(6.0)
         radius = int(math.floor(6.0 * math.sqrt(2.0 * math.log(1e6))))
         assert kernel.size == 2 * radius + 1
 
     def test_rejects_nonpositive_dilation(self):
-        params = MorletParams(sample_rate_hz=FS, scales=(1.0,))
         with pytest.raises(ValueError):
-            morlet_kernel(params, 0.0)
+            morlet_kernel(0.0)
 
 
 class TestMorletTransform:
@@ -139,6 +137,18 @@ class TestMorletTransform:
         energies = np.mean(np.abs(response) ** 2, axis=1)
         best = params.scales[int(np.argmax(energies))]
         assert scale_for_frequency(best, FS) == pytest.approx(55.0, abs=1.0)
+
+    def test_one_kernel_call_for_every_scale(self, monkeypatch):
+        calls = []
+        real = g.tfmap.centered_conv_complex
+        monkeypatch.setattr(
+            g.tfmap, "centered_conv_complex",
+            lambda x, taps: calls.append(np.shape(taps)) or real(x, taps),
+        )
+        params = MorletParams.for_band(BAND, FS)
+        morlet_transform(np.ones(300), params)
+        longest = max(morlet_kernel(a).size for a in params.scales)
+        assert calls == [(11, longest)]
 
     def test_interior_shifts_with_the_input(self):
         params = MorletParams.for_band(BAND, FS)
@@ -338,7 +348,7 @@ class TestSupportLocalRow:
     )
     def test_reach_sums_the_filter_spans(self, band, reach):
         params = MorletParams.for_band(band, FS)
-        longest = max(morlet_kernel(params, a).size for a in params.scales)
+        longest = max(morlet_kernel(a).size for a in params.scales)
         band_path = bandpass_taps(band, FS).size - 1 + longest - 1 + SMOOTH_WIDTH
         low_path = bandpass_taps(LOW_BAND_HZ, FS).size - 1 + SMOOTH_WIDTH
         assert _map_reach(params) == max(band_path, low_path) == reach
@@ -457,6 +467,35 @@ class TestSpatioTemporalMap:
         burst = truth.channels[2].burst_window
         assert ch == 2
         assert burst.start_sample <= t < burst.end_sample
+
+
+_MAP_DIGEST_SCRIPT = """
+import hashlib
+import gammasep as g
+digest = hashlib.sha256()
+for n in (5000, 30720):
+    signal, _ = g.build_realization(g.SimConfig(n_samples=n), 0)
+    for band in ((80.0, 90.0), (40.0, 50.0), (10.0, 15.0)):
+        digest.update(g.spatiotemporal_map(signal, band).values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_map_bytes_do_not_depend_on_the_blas_thread_count():
+    # the Morlet bank is one BLAS product per block of windows; OpenBLAS
+    # sizes its thread pool at import, so each count gets its own process.
+    # The 10-15 Hz bank (515 taps) takes another BLAS path than the gamma
+    # banks (65 and 129 taps), so all three bands are hashed.
+    package_root = os.path.dirname(os.path.dirname(g.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-c", _MAP_DIGEST_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.add(done.stdout)
+    assert len(digests) == 1
 
 
 def alternating_map(n_channels=1, n=2000):

@@ -345,12 +345,12 @@ def cmd_map(input_path, config):
 
 
 def cmd_bench(config):
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     workload, _ = simulate.build_realization(config.sim, 0)
     report = tickmodel.benchmark_report(
         workload, target_freq_hz=config.target_freq_hz[-1], band_hz=config.band_hz
     )
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "bench.csv").write_text(report["csv"])
     (out / "bench.txt").write_text(report["text"])
     print(f"software reference wall-clock: {report['wall_clock_s']:.3f} s")

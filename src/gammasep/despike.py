@@ -166,13 +166,12 @@ def build_mask(center_sample, target_freq_hz, sample_rate_hz, n_samples):
 def threshold_coeffs(coeffs, mask):
     """Split coefficients into in-mask and complement parts.
 
-    The transient part is `_transient_coeffs`: the deepest approximation and
-    the mask's detail levels with the window cleared, every other sequence
-    whole. The oscillatory part is the input minus it, level by level, so
+    The transient part is `_transient_coeffs`: the approximation and the
+    mask's detail levels with the window cleared, every other level whole.
+    The oscillatory part is the input minus it, sequence by sequence, so
     the two sum to the input coefficients exactly, and for finite
     coefficients the oscillatory part is the window's values there and +0.0
-    everywhere else. The shallower approximations, which the inverse
-    transform never reads, go whole to the transient part.
+    everywhere else.
     """
     mask.window.check_within(coeffs.n_samples)
     if max(mask.scales) > coeffs.levels:
@@ -181,12 +180,8 @@ def threshold_coeffs(coeffs, mask):
         )
     trans = _transient_coeffs(coeffs, mask)
     osc = WaveletCoefficients(
-        approximations=tuple(
-            a - t for a, t in zip(coeffs.approximations, trans.approximations)
-        ),
+        approximation=coeffs.approximation - trans.approximation,
         details=tuple(d - t for d, t in zip(coeffs.details, trans.details)),
-        levels=coeffs.levels,
-        n_samples=coeffs.n_samples,
     )
     return osc, trans
 
@@ -208,21 +203,18 @@ def _oscillatory_part(coeffs, trans, window, filters):
     back as the inverse transform spreads a coefficient, and ends with the
     window, gathered modulo n; a crop of n or more samples is the whole
     circle, rotated to start there. Both coefficient sets are gathered and
-    subtracted on the crop only.
+    subtracted on the crop only; the differences are the crop's coefficients.
     """
     n = coeffs.n_samples
     reach = (filters.length - 1) * (2 ** coeffs.levels - 1)
     size = min(window.length_samples + reach, n)
     crop = np.arange(window.end_sample - size, window.end_sample) % n
-    deepest = coeffs.approximations[-1][crop] - trans.approximations[-1][crop]
     part = iswt_reconstruct(
         WaveletCoefficients(
-            approximations=(np.zeros(size),) * (coeffs.levels - 1) + (deepest,),
+            approximation=coeffs.approximation[crop] - trans.approximation[crop],
             details=tuple(
                 d[crop] - t[crop] for d, t in zip(coeffs.details, trans.details)
             ),
-            levels=coeffs.levels,
-            n_samples=size,
         ),
         filters,
     )
@@ -234,9 +226,9 @@ def _oscillatory_part(coeffs, trans, window, filters):
 def _transient_coeffs(coeffs, mask):
     """The coefficients outside the mask: its window set to 0.0 where it keeps.
 
-    The one home of the mask rule: the mask keeps the deepest approximation
-    and its detail levels inside its window. Those sequences are copied with
-    the window cleared; the others pass through. Each copy equals
+    The one home of the mask rule: the mask keeps the approximation and its
+    detail levels inside its window. Those sequences are copied with the
+    window cleared; the other detail levels pass through. Each copy equals
     ``seq - seq * indicator`` bit for bit: the two differ only where seq
     holds -0.0, which the transform never emits.
     """
@@ -248,14 +240,11 @@ def _transient_coeffs(coeffs, mask):
         return out
 
     return WaveletCoefficients(
-        approximations=coeffs.approximations[:-1]
-        + (cleared(coeffs.approximations[-1]),),
+        approximation=cleared(coeffs.approximation),
         details=tuple(
             cleared(d) if level in mask.scales else d
             for level, d in enumerate(coeffs.details, start=1)
         ),
-        levels=coeffs.levels,
-        n_samples=coeffs.n_samples,
     )
 
 
@@ -275,7 +264,9 @@ def separate(x, target_freq_hz, sample_rate_hz, filters=None,
     x = np.asarray(x, dtype=np.float64)
     if filters is None:
         filters = wavelet_filters("db4")
-    coeffs = swt_decompose(x, filters, levels)
+    # an overflow is reported by the detector as a ValueError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = swt_decompose(x, filters, levels)
     center = detect_oscillation_center(
         coeffs, target_freq_hz, sample_rate_hz,
         filter_length=filters.dec_lo.size,

@@ -130,31 +130,35 @@ def wavelet_filters(name="db4"):
 
 @dataclass(frozen=True)
 class WaveletCoefficients:
-    """Per-level approximation and detail sequences, all at source length."""
+    """The deepest approximation and every detail level, all at source length.
 
-    approximations: tuple
+    ``details[j - 1]`` is level j. This is all that the inverse reads.
+    """
+
+    approximation: np.ndarray
     details: tuple
-    levels: int
-    n_samples: int
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        approx = tuple(np.asarray(a, dtype=np.float64) for a in self.approximations)
+        approx = np.asarray(self.approximation, dtype=np.float64)
         det = tuple(np.asarray(d, dtype=np.float64) for d in self.details)
-        if len(approx) != self.levels or len(det) != self.levels:
-            raise ValueError(
-                f"expected {self.levels} approximation and detail sequences, "
-                f"got {len(approx)} and {len(det)}"
-            )
-        for seq in (*approx, *det):
-            if seq.shape != (self.n_samples,):
+        if approx.ndim != 1 or not det:
+            raise ValueError("need a 1-D approximation and at least one detail level")
+        for seq in det:
+            if seq.shape != approx.shape:
                 raise ValueError(
-                    f"every level must have exactly {self.n_samples} samples, "
-                    f"got shape {seq.shape}"
+                    f"every detail level must have the approximation's "
+                    f"{approx.size} samples, got shape {seq.shape}"
                 )
-        object.__setattr__(self, "approximations", approx)
+        object.__setattr__(self, "approximation", approx)
         object.__setattr__(self, "details", det)
+
+    @property
+    def levels(self):
+        return len(self.details)
+
+    @property
+    def n_samples(self):
+        return self.approximation.size
 
 
 def swt_decompose(x, filters, levels):
@@ -163,6 +167,7 @@ def swt_decompose(x, filters, levels):
     Level 1 convolves the signal circularly with the analysis pair; deeper
     levels reuse the previous approximation with the taps spread apart by
     powers of two (equivalent to convolving with the zero-inserted filters).
+    Every detail level is kept, and only the deepest approximation.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -173,20 +178,13 @@ def swt_decompose(x, filters, levels):
         raise ValueError(
             f"signal of length {x.size} too short for {levels} levels"
         )
-    approximations = []
     details = []
     a = x
     for j in range(1, levels + 1):
         stride = 2 ** (j - 1)
         details.append(circular_conv(a, filters.dec_hi, stride))
         a = circular_conv(a, filters.dec_lo, stride)
-        approximations.append(a)
-    return WaveletCoefficients(
-        approximations=tuple(approximations),
-        details=tuple(details),
-        levels=levels,
-        n_samples=x.size,
-    )
+    return WaveletCoefficients(approximation=a, details=tuple(details))
 
 
 def iswt_reconstruct(coeffs, filters):
@@ -198,7 +196,7 @@ def iswt_reconstruct(coeffs, filters):
     if not isinstance(coeffs, WaveletCoefficients):
         raise ValueError("coeffs must be WaveletCoefficients")
     taps_len = filters.length
-    a = coeffs.approximations[-1]
+    a = coeffs.approximation
     for j in range(coeffs.levels, 0, -1):
         stride = 2 ** (j - 1)
         mixed = circular_conv(a, filters.rec_lo, stride) + circular_conv(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import despike, tfmap
 from .swt import wavelet_filters
-from .tfmap import MorletParams, morlet_kernel
+from .tfmap import MorletParams
 
 __all__ = [
     "Stage",
@@ -139,14 +139,14 @@ def mapping_stages(n_samples, params, band_hz):
     the wide smoother, the low-band normalization path, and the final
     division. Each scale is priced at its own kernel length, although
     `tfmap.morlet_transform` applies all of them as one bank zero-padded to
-    the longest.
+    the longest. Kernel lengths are computed, not designed; the band-pass
+    length depends on the sample rate alone, so ``band_hz`` sets none.
     """
     n = int(n_samples)
-    bp_len = tfmap.bandpass_taps(band_hz, params.sample_rate_hz).size
+    bp_len = tfmap._bandpass_length(params.sample_rate_hz)
     stages = [Stage("bandpass_band", n, bp_len)]
     for i, a in enumerate(params.scales):
-        klen = morlet_kernel(a).size
-        stages.append(Stage(f"scale_conv_{i}", n, klen))
+        stages.append(Stage(f"scale_conv_{i}", n, 2 * tfmap._morlet_radius(a) + 1))
     stages.append(Stage("band_energy_mean", n, len(params.scales)))
     stages.append(Stage("smooth_band", n, tfmap.SMOOTH_WIDTH))
     stages.append(Stage("bandpass_low", n, bp_len))

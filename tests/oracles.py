@@ -95,24 +95,27 @@ def direct_swt(x, dec_lo, dec_hi, levels, conv=wrap_conv):
     """Undecimated decomposition from the definition.
 
     Level j filters level j-1's approximation with the zero-stuffed
-    analysis pair. Returns (approximations, details), lists of length
-    `levels`, every entry full length.
+    analysis pair. Returns (approx, details), lists of length `levels`
+    holding every level's approximation and detail, every entry full length.
     """
-    approx = np.asarray(x, dtype=np.float64)
-    approximations, details = [], []
+    a = np.asarray(x, dtype=np.float64)
+    approx, details = [], []
     for j in range(1, levels + 1):
         lo = stuffed_filter(dec_lo, j)
         hi = stuffed_filter(dec_hi, j)
-        details.append(conv(approx, hi))
-        approx = conv(approx, lo)
-        approximations.append(approx)
-    return approximations, details
+        details.append(conv(a, hi))
+        a = conv(a, lo)
+        approx.append(a)
+    return approx, details
 
 
-def direct_iswt(approximations, details, rec_lo, rec_hi, conv=wrap_conv):
-    """Inverse of direct_swt: average the dual filter pair per level."""
+def direct_iswt(approximation, details, rec_lo, rec_hi, conv=wrap_conv):
+    """Inverse of direct_swt from the deepest approximation and every detail.
+
+    Averages the dual filter pair per level.
+    """
     levels = len(details)
-    acc = np.asarray(approximations[-1], dtype=np.float64)
+    acc = np.asarray(approximation, dtype=np.float64)
     for j in range(levels, 0, -1):
         lo = stuffed_filter(rec_lo, j)
         hi = stuffed_filter(rec_hi, j)
@@ -152,7 +155,7 @@ def ref_separate(x, target_freq_hz, sample_rate_hz, dec_lo, dec_hi,
     """Reference oscillatory/transient split; returns (osc, trans, center)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    approximations, details = direct_swt(x, dec_lo, dec_hi, levels)
+    approx, details = direct_swt(x, dec_lo, dec_hi, levels)
     length, scales = ref_mask_plan(target_freq_hz, sample_rate_hz)
     length = min(length, n)
 
@@ -173,8 +176,8 @@ def ref_separate(x, target_freq_hz, sample_rate_hz, dec_lo, dec_hi,
         for j in range(levels)
     ]
     trans_details = [details[j] - osc_details[j] for j in range(levels)]
-    osc_approx = [a * window for a in approximations]
-    trans_approx = [approximations[j] - osc_approx[j] for j in range(levels)]
+    osc_approx = approx[-1] * window
+    trans_approx = approx[-1] - osc_approx
 
     osc = direct_iswt(osc_approx, osc_details, rec_lo, rec_hi)
     trans = direct_iswt(trans_approx, trans_details, rec_lo, rec_hi)
@@ -229,10 +232,10 @@ def full_separate(x, target_freq_hz, sample_rate_hz, filters, levels=5):
     """Both parts synthesized over every sample, masked by a 0/1 indicator.
 
     The package places the mask; the split is plain arithmetic, as in
-    ref_separate: the oscillatory part is every approximation and the
-    mask's detail levels times the indicator, zeros at the other levels,
-    and the transient part is the input minus it. Returns (oscillatory,
-    transient, mask).
+    ref_separate: the oscillatory part is the approximation and the mask's
+    detail levels times the indicator, zeros at the other levels, and the
+    transient part is the input minus it. Returns (oscillatory, transient,
+    mask).
     """
     from gammasep.despike import build_mask, detect_oscillation_center
     from gammasep.swt import WaveletCoefficients, iswt_reconstruct, swt_decompose
@@ -245,22 +248,20 @@ def full_separate(x, target_freq_hz, sample_rate_hz, filters, levels=5):
     mask = build_mask(center, target_freq_hz, sample_rate_hz, x.size)
     window = np.zeros(x.size)
     window[mask.window.start_sample : mask.window.end_sample] = 1.0
-    osc_approx = [a * window for a in coeffs.approximations]
+    osc_approx = coeffs.approximation * window
     osc_details = [
         d * window if level in mask.scales else np.zeros(x.size)
         for level, d in enumerate(coeffs.details, start=1)
     ]
 
-    def synthesized(approximations, details):
+    def synthesized(approximation, details):
         return iswt_reconstruct(
-            WaveletCoefficients(tuple(approximations), tuple(details),
-                                levels, x.size),
-            filters,
+            WaveletCoefficients(approximation, tuple(details)), filters
         )
 
     osc = synthesized(osc_approx, osc_details)
     trans = synthesized(
-        [a - o for a, o in zip(coeffs.approximations, osc_approx)],
+        coeffs.approximation - osc_approx,
         [d - o for d, o in zip(coeffs.details, osc_details)],
     )
     return osc, trans, mask

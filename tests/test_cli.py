@@ -366,6 +366,25 @@ def test_overflow_inside_a_zero_channel_exits_invalid(tmp_path, capsys):
     assert "ch2: band energy is not finite" in err
 
 
+def test_overflow_during_analysis_exits_invalid_without_warnings(tmp_path, capsys):
+    # finite on disk; the first analysis level overflows, and only the
+    # detector's finiteness check may speak for it
+    signal, _ = g.build_realization(g.SimConfig(n_samples=2000), 0)
+    data = signal.data.copy()
+    data[1, 1000:1003] = [1.7e308, 1.7e308, -1.7e308]
+    path = tmp_path / "big.csv"
+    write_signal_csv(path, MultiChannelSignal(FS, ("a", "b", "c"), data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["despike", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID
+    assert not caught
+    assert capsys.readouterr().err.splitlines() == [
+        "error: b: detail energy near 85.0 Hz is not finite; check the input scale"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 class TestSimulateCommand:
     def test_writes_one_pair_per_realization(self, tmp_path):
         config = write_config(tmp_path)
@@ -671,6 +690,21 @@ class TestBenchCommand:
         text = (out / "bench.txt").read_text()
         assert "speedup accel0/accel2: separation 1.9000, mapping 2.0000" in text
         assert "outputs identical: yes" in text
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"band_hz": [80, 300]},
+            {"target_freq_hz": [300]},
+            {"sample_rate_hz": 100.0, "burst_freqs_hz": [10, 20, 30]},
+        ],
+    )
+    def test_failing_report_leaves_no_output_directory(self, tmp_path, capsys, extra):
+        config = write_config(tmp_path, extra)
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", config, "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_accel_flag_is_rejected(self, tmp_path, capsys):
         # both schedules always run; there is no flag to pick one

@@ -135,6 +135,14 @@ class TestDetection:
         with pytest.raises(ValueError, match="not finite"):
             detect_oscillation_center(coeffs, 45.0, FS)
 
+    def test_separate_reports_an_analysis_overflow_as_value_error(self):
+        # under the suite's error::RuntimeWarning filter a leaked numpy
+        # warning would surface here instead of the ValueError
+        x = np.zeros(512)
+        x[200:203] = [1.7e308, 1.7e308, -1.7e308]
+        with pytest.raises(ValueError, match="not finite"):
+            separate(x, 85.0, FS)
+
     def test_separate_propagates_no_detection(self):
         with pytest.raises(NoDetectionError):
             separate(np.zeros(512), 45.0, FS)
@@ -161,19 +169,10 @@ class TestThresholdCoeffs:
             np.testing.assert_array_equal(
                 osc.details[level] + trans.details[level], coeffs.details[level]
             )
-            np.testing.assert_array_equal(
-                osc.approximations[level] + trans.approximations[level],
-                coeffs.approximations[level],
-            )
-
-    def test_shallower_approximations_go_whole_to_the_transient(self, db4, rng):
-        coeffs = swt_decompose(rng.standard_normal(256), db4, 5)
-        mask = RectMask(TimeWindow(100, 50), {1, 2})
-        osc, trans = threshold_coeffs(coeffs, mask)
-        for level in range(4):
-            assert same_bits(trans.approximations[level], coeffs.approximations[level])
-            assert same_bits(osc.approximations[level], np.zeros(256))
-        assert np.all(trans.approximations[4][100:150] == 0.0)
+        np.testing.assert_array_equal(
+            osc.approximation + trans.approximation, coeffs.approximation
+        )
+        assert np.all(trans.approximation[100:150] == 0.0)
 
     def test_full_mask_is_the_identity(self, db4, rng):
         x = rng.standard_normal(256)

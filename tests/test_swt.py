@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammasep.backends import circular_conv
 from gammasep.swt import (
@@ -85,21 +87,23 @@ class TestDecompose:
         coeffs = swt_decompose(x, db4, 4)
         assert coeffs.levels == 4
         assert coeffs.n_samples == 256
-        for seq in (*coeffs.approximations, *coeffs.details):
+        for seq in (coeffs.approximation, *coeffs.details):
             assert seq.shape == (256,)
 
     def test_zero_in_zero_out(self, db4):
         coeffs = swt_decompose(np.zeros(64), db4, 3)
-        for seq in (*coeffs.approximations, *coeffs.details):
+        for seq in (coeffs.approximation, *coeffs.details):
             assert np.all(seq == 0.0)
 
     def test_haar_constant_scales_by_sqrt2(self, haar):
         c = 3.5
-        coeffs = swt_decompose(np.full(64, c), haar, 2)
         np.testing.assert_allclose(
-            coeffs.approximations[0], c * np.sqrt(2.0), atol=1e-12
+            swt_decompose(np.full(64, c), haar, 1).approximation,
+            c * np.sqrt(2.0),
+            atol=1e-12,
         )
-        np.testing.assert_allclose(coeffs.approximations[1], 2.0 * c, atol=1e-12)
+        coeffs = swt_decompose(np.full(64, c), haar, 2)
+        np.testing.assert_allclose(coeffs.approximation, 2.0 * c, atol=1e-12)
         for d in coeffs.details:
             np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
@@ -168,10 +172,8 @@ class TestReconstruct:
         x = rng.standard_normal(128)
         coeffs = swt_decompose(x, db4, 3)
         halved = WaveletCoefficients(
-            approximations=tuple(0.5 * a for a in coeffs.approximations),
+            approximation=0.5 * coeffs.approximation,
             details=tuple(0.5 * d for d in coeffs.details),
-            levels=coeffs.levels,
-            n_samples=coeffs.n_samples,
         )
         np.testing.assert_allclose(
             iswt_reconstruct(halved, db4),
@@ -194,9 +196,11 @@ class TestShiftInvariance:
                 assert np.array_equal(
                     rolled.details[level], np.roll(base.details[level], shift)
                 )
+            # every depth's approximation, each the deepest of its decomposition
+            for levels in range(1, 6):
                 assert np.array_equal(
-                    rolled.approximations[level],
-                    np.roll(base.approximations[level], shift),
+                    swt_decompose(np.roll(x, shift), db4, levels).approximation,
+                    np.roll(swt_decompose(x, db4, levels).approximation, shift),
                 )
 
 
@@ -210,16 +214,14 @@ class TestAgainstDirectDefinition:
             )
             for level in range(5):
                 assert np.max(np.abs(coeffs.details[level] - ref_det[level])) < 1e-12
-                assert (
-                    np.max(np.abs(coeffs.approximations[level] - ref_approx[level]))
-                    < 1e-12
-                )
+                at_level = swt_decompose(x, db4, level + 1).approximation
+                assert np.max(np.abs(at_level - ref_approx[level])) < 1e-12
 
     def test_inverse_matches_direct_definition(self, db4, rng):
         x = rng.standard_normal(64)
         coeffs = swt_decompose(x, db4, 3)
         ref = direct_iswt(
-            list(coeffs.approximations),
+            coeffs.approximation,
             list(coeffs.details),
             db4.rec_lo,
             db4.rec_hi,
@@ -227,6 +229,45 @@ class TestAgainstDirectDefinition:
         )
         got = iswt_reconstruct(coeffs, db4)
         assert np.max(np.abs(got - ref)) < 1e-12
+
+
+FAMILIES = ["haar"] + [f"db{p}" for p in range(1, 9)]
+
+
+@st.composite
+def transform_problems(draw):
+    """A family, a depth, and a random signal at least as long as the
+    deepest zero-stuffed filter, the shortest on which `wrap_conv` is exact."""
+    name = draw(st.sampled_from(FAMILIES))
+    levels = draw(st.integers(1, 6))
+    filters = wavelet_filters(name)
+    shortest = max(stuffed_filter(filters.dec_lo, levels).size, 2**levels)
+    n = draw(st.integers(shortest, shortest + 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    decade = draw(st.integers(-6, 6))
+    x = np.random.default_rng(seed).standard_normal(n) * 10.0**decade
+    shift = draw(st.integers(1, n - 1))
+    return filters, levels, x, shift
+
+
+@settings(deadline=None, max_examples=60)
+@given(problem=transform_problems())
+def test_transform_properties_across_families(problem):
+    filters, levels, x, shift = problem
+    scale = np.max(np.abs(x))
+    coeffs = swt_decompose(x, filters, levels)
+    assert coeffs.levels == levels == len(coeffs.details)
+    assert coeffs.n_samples == x.size
+    ref_approx, ref_details = direct_swt(x, filters.dec_lo, filters.dec_hi, levels)
+    for got, ref in zip((coeffs.approximation, *coeffs.details),
+                        (ref_approx[-1], *ref_details)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    back = iswt_reconstruct(coeffs, filters)
+    assert np.max(np.abs(back - x)) <= 1e-9 * scale
+    rolled = swt_decompose(np.roll(x, shift), filters, levels)
+    for got, base in zip((rolled.approximation, *rolled.details),
+                         (coeffs.approximation, *coeffs.details)):
+        assert np.array_equal(got, np.roll(base, shift))
 
 
 class TestLevelForFrequency:
@@ -249,22 +290,26 @@ class TestLevelForFrequency:
 
 
 class TestWaveletCoefficients:
-    def test_rejects_mismatched_level_count(self):
-        with pytest.raises(ValueError):
+    def test_rejects_empty_details(self):
+        with pytest.raises(ValueError, match="at least one detail"):
+            WaveletCoefficients(approximation=np.zeros(8), details=())
+
+    def test_rejects_approximation_of_another_length(self):
+        with pytest.raises(ValueError, match="7 samples"):
             WaveletCoefficients(
-                approximations=(np.zeros(8),),
-                details=(np.zeros(8), np.zeros(8)),
-                levels=2,
-                n_samples=8,
+                approximation=np.zeros(7), details=(np.zeros(8), np.zeros(8))
             )
 
     def test_rejects_wrong_length_sequences(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="8 samples"):
             WaveletCoefficients(
-                approximations=(np.zeros(8),),
-                details=(np.zeros(7),),
-                levels=1,
-                n_samples=8,
+                approximation=np.zeros(8), details=(np.zeros(8), np.zeros(7))
+            )
+
+    def test_rejects_two_dimensional_approximation(self):
+        with pytest.raises(ValueError, match="1-D"):
+            WaveletCoefficients(
+                approximation=np.zeros((1, 8)), details=(np.zeros((1, 8)),)
             )
 
 

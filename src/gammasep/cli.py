@@ -18,8 +18,8 @@ import numpy as np
 
 from . import despike, simulate, tfmap, tickmodel
 from .signal_core import MultiChannelSignal
-from .simulate import number_tuple, require_integer, require_number
-from .swt import wavelet_filters, wavelet_order
+from .simulate import number_tuple
+from .swt import wavelet_filters
 
 __all__ = [
     "RunConfig",
@@ -47,15 +47,15 @@ class RunConfig:
     """Everything tunable from the command line or a JSON config file.
 
     The simulation settings live in `sim`; a config file gives them as
-    top-level keys named after the `SimConfig` fields.
+    top-level keys named after the `SimConfig` fields. The analysis is
+    fixed apart from its frequencies: `despike` separates with
+    `wavelet_filters()` (db4) over `despike.DEFAULT_LEVELS` levels, and
+    `map` detects at `tfmap.K_SIGMA` MADs.
     """
 
     sim: simulate.SimConfig = simulate.SimConfig()
-    wavelet: str = "db4"
-    levels: int = despike.DEFAULT_LEVELS
     target_freq_hz: tuple = (85.0,)
     band_hz: tuple = (80.0, 90.0)
-    k_sigma: float = tfmap.DEFAULT_K_SIGMA
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -64,8 +64,6 @@ class RunConfig:
         Raises TypeError for a value of the wrong kind and ValueError for
         one out of range, before any command reads or writes a file.
         """
-        wavelet_order(self.wavelet)
-        require_integer("levels", self.levels)
         targets = number_tuple("target_freq_hz", self.target_freq_hz)
         if not targets or min(targets) <= 0:
             raise ValueError(
@@ -76,9 +74,6 @@ class RunConfig:
             raise ValueError(
                 f"band_hz must be [low, high] with 0 < low < high, got {list(band)}"
             )
-        require_number("k_sigma", self.k_sigma)
-        if self.k_sigma <= 0:
-            raise ValueError(f"k_sigma must be positive, got {self.k_sigma}")
         object.__setattr__(self, "target_freq_hz", targets)
         object.__setattr__(self, "band_hz", band)
 
@@ -257,7 +252,8 @@ def cmd_despike(input_path, config):
         )
     if len(targets) == 1:
         targets = targets * signal.n_channels
-    filters = wavelet_filters(config.wavelet)
+    # one filter bank for every channel: building it runs a round-trip check
+    filters = wavelet_filters()
     osc_rows = []
     trans_rows = []
     mask_pairs = []
@@ -265,11 +261,7 @@ def cmd_despike(input_path, config):
     for ch, freq in enumerate(targets):
         try:
             result = despike.separate(
-                signal.data[ch],
-                freq,
-                signal.sample_rate_hz,
-                filters,
-                levels=config.levels,
+                signal.data[ch], freq, signal.sample_rate_hz, filters
             )
         except (despike.NoDetectionError, ValueError) as exc:
             raise type(exc)(f"{signal.channel_labels[ch]}: {exc}") from None
@@ -313,7 +305,7 @@ def cmd_despike(input_path, config):
 def cmd_map(input_path, config):
     signal = read_signal_csv(input_path)
     energy_map = tfmap.spatiotemporal_map(signal, config.band_hz)
-    detection = tfmap.detect_buildup(energy_map, config.k_sigma)
+    detection = tfmap.detect_buildup(energy_map)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_signal_csv(
@@ -337,7 +329,7 @@ def cmd_map(input_path, config):
             ),
             ("channel_labels", ",".join(names)),
             ("peak_energy", repr(detection.peak_energy)),
-            ("k_sigma", repr(float(config.k_sigma))),
+            ("k_sigma", repr(tfmap.K_SIGMA)),
         ],
     )
     write_map_pgm(out / "map.pgm", energy_map)
@@ -345,6 +337,11 @@ def cmd_map(input_path, config):
 
 
 def cmd_bench(config):
+    """Tick-cost report of realization 0 of the configured simulation.
+
+    Every channel is separated at the last of `target_freq_hz` (85 Hz by
+    default) and mapped over `band_hz`.
+    """
     workload, _ = simulate.build_realization(config.sim, 0)
     report = tickmodel.benchmark_report(
         workload, target_freq_hz=config.target_freq_hz[-1], band_hz=config.band_hz

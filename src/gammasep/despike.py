@@ -111,14 +111,15 @@ def analysis_advance(n_taps, level):
 
 
 def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
-                              filter_length=8):
+                              filter_length):
     """Sample index where smoothed target-scale detail energy peaks.
 
     Sums squared detail coefficients over the mask's scales, each level
-    advanced to undo its filter delay, smooths the total with a centered
-    circular moving average as wide as the mask, and returns the first
-    index attaining the maximum. Raises NoDetectionError when that energy is
-    zero everywhere, and ValueError when it overflows.
+    advanced to undo the delay of its `filter_length`-tap filters, smooths
+    the total with a centered circular moving average as wide as the mask,
+    and returns the first index attaining the maximum. Raises
+    NoDetectionError when that energy is zero everywhere, and ValueError
+    when it overflows.
     """
     duration_ms, _ = mask_geometry(target_freq_hz)
     width = max(1, ms_to_samples(duration_ms, sample_rate_hz))
@@ -263,13 +264,13 @@ def separate(x, target_freq_hz, sample_rate_hz, filters=None,
     """
     x = np.asarray(x, dtype=np.float64)
     if filters is None:
-        filters = wavelet_filters("db4")
+        filters = wavelet_filters()
     # an overflow is reported by the detector as a ValueError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = swt_decompose(x, filters, levels)
     center = detect_oscillation_center(
         coeffs, target_freq_hz, sample_rate_hz,
-        filter_length=filters.dec_lo.size,
+        filter_length=filters.length,
     )
     mask = build_mask(center, target_freq_hz, sample_rate_hz, x.size)
     trans = _transient_coeffs(coeffs, mask)

@@ -23,7 +23,6 @@ __all__ = [
     "level_for_frequency",
     "swt_decompose",
     "wavelet_filters",
-    "wavelet_order",
 ]
 
 
@@ -109,23 +108,18 @@ class FilterPair:
 _FAMILY_ORDER = {"haar": 1, **{f"db{p}": p for p in range(1, 9)}}
 
 
-def wavelet_order(name):
-    """Daubechies order of a named family: 'haar' or 'db1' through 'db8'.
+def wavelet_filters(name="db4"):
+    """Filter pair for a named family: 'haar' or 'db1' through 'db8'.
 
-    Raises ValueError for any other name, and for a name that is not a string.
+    The default, db4, is the family the separation uses. Raises ValueError
+    for any other name, and for a name that is not a string.
     """
     key = name.strip().lower() if isinstance(name, str) else None
     if key not in _FAMILY_ORDER:
         raise ValueError(
             f"unknown wavelet {name!r}; choose from {sorted(_FAMILY_ORDER)}"
         )
-    return _FAMILY_ORDER[key]
-
-
-def wavelet_filters(name="db4"):
-    """Filter pair for a named family: 'haar' or 'db1' through 'db8'."""
-    order = wavelet_order(name)
-    return FilterPair.from_scaling(name.strip().lower(), _daubechies_scaling(order))
+    return FilterPair.from_scaling(key, _daubechies_scaling(_FAMILY_ORDER[key]))
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,8 @@ SMOOTH_WIDTH = 256
 LOW_BAND_HZ = (10.0, 15.0)
 RUN_LENGTH = 64
 CHANNEL_WINDOW_MS = 500.0
-DEFAULT_K_SIGMA = 6.0
+# MADs above the median at which the map counts as built up
+K_SIGMA = 6.0
 # fraction of a smoothed step's height at which a RUN_LENGTH run ends on
 # the step; see the module docstring
 RAMP_FRACTION = 0.5 - RUN_LENGTH / SMOOTH_WIDTH
@@ -408,10 +409,10 @@ def _first_sustained_runs(above, run_length):
     return np.where(full.any(axis=1), full.argmax(axis=1), -1)
 
 
-def detect_buildup(energy_map, k_sigma=DEFAULT_K_SIGMA):
+def detect_buildup(energy_map):
     """Threshold the map and report the first sustained build-up.
 
-    The threshold is median + k_sigma * MAD over the whole map. When the
+    The threshold is median + K_SIGMA * MAD over the whole map. When the
     MAD is zero, because more than half of the map sits at one value (a
     despiked map is mostly exact zeros), that rule collapses onto the
     median and would fire on the first sample of a smoothing tail. The
@@ -438,7 +439,7 @@ def detect_buildup(energy_map, k_sigma=DEFAULT_K_SIGMA):
         med = float(np.median(values))
         mad = float(np.median(np.abs(values - med)))
     if mad > 0.0:
-        threshold = med + k_sigma * mad
+        threshold = med + K_SIGMA * mad
     else:
         threshold = med + RAMP_FRACTION * (peak - med)
     above = values > threshold

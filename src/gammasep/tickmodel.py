@@ -121,14 +121,15 @@ def separation_stages(n_samples, filters, levels, mask):
     return stages
 
 
-def run_pipeline(x, filters=None, levels=despike.DEFAULT_LEVELS,
-                 sample_rate_hz=512.0, target_freq_hz=85.0):
+def run_pipeline(x, filters=None, sample_rate_hz=512.0, target_freq_hz=85.0):
     """Oscillatory part from `despike.separate`, priced under every schedule."""
     x = np.asarray(x, dtype=np.float64)
     if filters is None:
-        filters = wavelet_filters("db4")
-    result = despike.separate(x, target_freq_hz, sample_rate_hz, filters, levels)
-    stages = separation_stages(x.size, filters, levels, result.mask_used)
+        filters = wavelet_filters()
+    result = despike.separate(x, target_freq_hz, sample_rate_hz, filters)
+    stages = separation_stages(
+        x.size, filters, despike.DEFAULT_LEVELS, result.mask_used
+    )
     return result.oscillatory, _report(stages, _pair_max_ticks, result.oscillatory)
 
 
@@ -185,7 +186,7 @@ def benchmark_report(workload, target_freq_hz=85.0, band_hz=(80.0, 90.0)):
     deterministic parts.
     """
     fs = workload.sample_rate_hz
-    filters = wavelet_filters("db4")
+    filters = wavelet_filters()
     params = MorletParams.for_band(band_hz, fs)
     sep_ticks = Counter()
     map_ticks = Counter()

@@ -113,15 +113,15 @@ class TestLoadConfig:
             ("band_hz", [90.0, 80.0], "0 < low < high"),
             ("band_hz", [80.0, 85.0, 90.0], "0 < low < high"),
             ("band_hz", [80.0, "90"], "must be a number"),
-            ("levels", "5", "levels must be an integer"),
-            ("levels", 0, "levels must be >= 1"),
+            ("levels", "5", "unknown config keys"),
+            ("levels", 0, "unknown config keys"),
             ("target_freq_hz", 85.0, "target_freq_hz must be a list"),
             ("target_freq_hz", [], "positive frequencies"),
             ("target_freq_hz", [85.0, -5.0], "positive frequencies"),
-            ("k_sigma", "6", "k_sigma must be a number"),
-            ("k_sigma", 0.0, "k_sigma must be positive"),
-            ("wavelet", "db9", "unknown wavelet"),
-            ("wavelet", 4, "unknown wavelet"),
+            ("k_sigma", "6", "unknown config keys"),
+            ("k_sigma", 0.0, "unknown config keys"),
+            ("wavelet", "db9", "unknown config keys"),
+            ("wavelet", 4, "unknown config keys"),
         ],
     )
     def test_bad_analysis_setting_names_the_file(self, tmp_path, key, value, message):
@@ -177,7 +177,7 @@ class TestLoadConfig:
         accepted = {f.name for f in fields(g.SimConfig)} | {
             f.name for f in fields(RunConfig)
         } - {"sim"}
-        assert len(accepted) == 17
+        assert len(accepted) == 14
         assert set(json.loads(block)) == accepted - {"out_dir"}
         path = tmp_path / "readme.json"
         path.write_text(block)
@@ -229,6 +229,26 @@ def test_bad_simulation_setting_exits_invalid_naming_the_file(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "despike", "map", "bench"])
+@pytest.mark.parametrize(
+    "setting", [{"wavelet": "db4"}, {"levels": 5}, {"k_sigma": 6.0}],
+    ids=["wavelet", "levels", "k_sigma"],
+)
+def test_fixed_analysis_setting_is_an_unknown_key(
+    tmp_path, capsys, command, setting
+):
+    # the wavelet, its depth and the detection threshold are constants:
+    # naming one, even at its value, exits 2 before any output is made
+    config = write_config(tmp_path, setting, name="fixed.json")
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    if command in ("despike", "map"):
+        argv.insert(1, zero_signal_csv(tmp_path))
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "fixed.json: unknown config keys" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_exits_invalid_naming_the_key(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--seed", "-3", "--out", str(out)]) == EXIT_INVALID
@@ -251,7 +271,7 @@ def test_bad_simulation_number_exits_invalid_before_writing(
 
 @pytest.mark.parametrize(
     "command, setting",
-    [("map", {"band_hz": 85}), ("despike", {"levels": "5"})],
+    [("map", {"band_hz": 85}), ("despike", {"target_freq_hz": [-85.0]})],
 )
 def test_bad_analysis_setting_exits_invalid_before_writing(
     tmp_path, capsys, command, setting

@@ -126,14 +126,14 @@ class TestDetection:
     def test_all_zero_input_raises(self, db4):
         coeffs = swt_decompose(np.zeros(512), db4, 5)
         with pytest.raises(NoDetectionError):
-            detect_oscillation_center(coeffs, 45.0, FS)
+            detect_oscillation_center(coeffs, 45.0, FS, filter_length=db4.length)
 
     def test_overflowing_energy_raises_value_error(self, db4):
         x = np.zeros(512)
         x[200] = 1e308
         coeffs = swt_decompose(x, db4, 5)
         with pytest.raises(ValueError, match="not finite"):
-            detect_oscillation_center(coeffs, 45.0, FS)
+            detect_oscillation_center(coeffs, 45.0, FS, filter_length=db4.length)
 
     def test_separate_reports_an_analysis_overflow_as_value_error(self):
         # under the suite's error::RuntimeWarning filter a leaked numpy
@@ -157,7 +157,8 @@ class TestDetection:
     def test_too_shallow_decomposition_rejected(self, db4):
         coeffs = swt_decompose(np.ones(512), db4, 2)
         with pytest.raises(ValueError, match="levels"):
-            detect_oscillation_center(coeffs, 45.0, FS)  # needs level 3
+            # needs level 3
+            detect_oscillation_center(coeffs, 45.0, FS, filter_length=db4.length)
 
 
 class TestThresholdCoeffs:

@@ -59,6 +59,11 @@ class TestFilterFamilies:
         with pytest.raises(ValueError, match="unknown wavelet"):
             wavelet_filters("sym5")
 
+    @pytest.mark.parametrize("name", [4, None, b"db4"])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown wavelet"):
+            wavelet_filters(name)
+
     def test_broken_pair_fails_roundtrip_probe(self):
         good = wavelet_filters("db2")
         with pytest.raises(ValueError, match="reconstruction"):

@@ -383,13 +383,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the RNG seed")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--out", help="output directory")
 
     p_sim = sub.add_parser("simulate", help="generate the simulated dataset")
-    common(p_sim)
+    common(p_sim, seed=True)
     p_sim.add_argument(
         "--realizations", type=int, help="override the realization count"
     )
@@ -409,14 +410,14 @@ def build_parser():
     p_map.add_argument("--band", type=_parse_band, help="band as LO:HI in Hz")
 
     p_bench = sub.add_parser("bench", help="tick-cost benchmark report")
-    common(p_bench)
+    common(p_bench, seed=True)
     return parser
 
 
 def _merge_config(args):
     config = load_config(args.config) if args.config else RunConfig()
     sim = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         sim["rng_seed"] = args.seed
     if getattr(args, "realizations", None) is not None:
         sim["n_realizations"] = args.realizations
@@ -447,7 +448,7 @@ def main(argv=None):
     except despike.NoDetectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_DETECTION
-    except (SignalFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

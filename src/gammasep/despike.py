@@ -119,14 +119,16 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
     the total with a centered circular moving average as wide as the mask,
     and returns the first index attaining the maximum. Raises
     NoDetectionError when that energy is zero everywhere, and ValueError
-    when it overflows.
+    when it overflows or the target lies below the transform's lowest band.
     """
     duration_ms, _ = mask_geometry(target_freq_hz)
     width = max(1, ms_to_samples(duration_ms, sample_rate_hz))
     scales = mask_scales(target_freq_hz, sample_rate_hz)
     if max(scales) > coeffs.levels:
         raise ValueError(
-            f"coefficients cover {coeffs.levels} levels, mask needs {max(scales)}"
+            f"target {target_freq_hz} Hz needs more than the {coeffs.levels} "
+            f"levels the coefficients cover; the lowest target they reach is "
+            f"{sample_rate_hz / 2 ** (coeffs.levels + 1)} Hz"
         )
     energy = np.zeros(coeffs.n_samples)
     width = min(width, coeffs.n_samples)

@@ -592,6 +592,18 @@ class TestDespikeCommand:
         assert f"{n_freqs} target frequencies for the 3 channels" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("freq", ["7", "0.5"])
+    def test_target_below_the_transform_exits_invalid(self, tmp_path, capsys, freq):
+        # 5 levels at 512 Hz reach down to the band [8, 16) Hz
+        config, csv_path = self._simulated_csv(tmp_path)
+        out = tmp_path / "desp"
+        argv = ["despike", csv_path, "--config", config, "--freq", freq]
+        assert main(argv + ["--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"target {float(freq)} Hz" in err
+        assert "lowest target they reach is 8.0 Hz" in err
+        assert not out.exists()
+
     def test_missing_input_exits_invalid(self, tmp_path, capsys):
         code = main(["despike", str(tmp_path / "nope.csv")])
         assert code == EXIT_INVALID
@@ -733,6 +745,18 @@ class TestBenchCommand:
         assert exc.value.code == EXIT_INVALID
         assert "unrecognized arguments: --accel" in capsys.readouterr().err
         assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("command", ["despike", "map"])
+def test_seed_flag_is_rejected_where_no_seed_is_read(tmp_path, capsys, command):
+    # only simulate and bench draw random numbers
+    csv_path = zero_signal_csv(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, csv_path, "--seed", "1", "--out", str(out)])
+    assert exc.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestEndToEnd:

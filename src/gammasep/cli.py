@@ -1,9 +1,17 @@
 """Command-line front end: simulate, despike, map, bench.
 
-Signals travel as a small CSV dialect: a `# rate=<Hz>` line, a label line,
-then one row per sample with full-precision decimal values. Ground truth and
-detections are flat key=value text, maps additionally render to an ASCII
-grayscale PGM. All commands are deterministic given their config and seed.
+Signals travel as a small CSV dialect in UTF-8: a `# rate=<Hz>` line, a
+line of comma-separated channel labels, then one row per sample with one
+value per channel. Values are written as Python's `repr` writes a float, the
+shortest decimal that reads back to the same bits, and read as `float()`
+reads them (surrounding whitespace, `1_000`, `nan` and `inf` included; a
+non-finite value is then refused, naming its line). Blank body lines are
+skipped but still counted in the line numbers of error messages. A label may
+not hold a comma or a line break, nor start or end with whitespace:
+`write_signal_csv` refuses one that would not read back as itself. Ground
+truth and detections are flat key=value text, maps additionally render to an
+ASCII grayscale PGM; every file is UTF-8. All commands are deterministic
+given their config and seed.
 """
 
 from __future__ import annotations
@@ -81,7 +89,7 @@ class RunConfig:
 def load_config(path):
     """RunConfig from a JSON file; unknown keys and bad settings are rejected."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise SignalFormatError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
@@ -105,18 +113,53 @@ def load_config(path):
 
 
 def write_signal_csv(path, signal):
-    """Signal to CSV with full-precision (round-trip exact) values."""
-    lines = [f"# rate={signal.sample_rate_hz!r}", ",".join(signal.channel_labels)]
-    cols = signal.data.T
-    for row in cols:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Signal to CSV with full-precision (round-trip exact) values.
+
+    Raises ValueError, before the file is opened, for a channel label that
+    would not read back as itself: one that holds a comma or a line break,
+    or starts or ends with whitespace.
+    """
+    for label in signal.channel_labels:
+        if "," in label or label != label.strip() or len(label.splitlines()) > 1:
+            raise ValueError(
+                f"channel label {label!r} cannot be written to {path}: labels "
+                "may not hold a comma or a line break, nor start or end with "
+                "whitespace"
+            )
+    n_ch, n = signal.data.shape
+    row = ",".join(["%r"] * n_ch) + "\n"
+    body = row * n % tuple(signal.data.T.ravel().tolist())
+    header = f"# rate={signal.sample_rate_hz!r}\n" + ",".join(signal.channel_labels)
+    Path(path).write_text(header + "\n" + body, encoding="utf-8")
+
+
+def _parse_rows(path, lines, width):
+    """The body parsed line by line, naming the first line that is wrong."""
+    rows = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise SignalFormatError(
+                f"{path}: line {lineno}: expected {width} values, "
+                f"got {len(parts)}"
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise SignalFormatError(
+                f"{path}: line {lineno}: unreadable value"
+            ) from None
+    if not rows:
+        raise SignalFormatError(f"{path}: no sample rows")
+    return np.array(rows, dtype=np.float64)
 
 
 def read_signal_csv(path):
     """Parse the CSV dialect back into a signal, naming bad lines."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SignalFormatError(f"{path}: {exc.strerror or exc}") from exc
     lines = text.splitlines()
@@ -129,25 +172,17 @@ def read_signal_csv(path):
     if len(lines) < 2:
         raise SignalFormatError(f"{path}: line 2: missing channel labels")
     labels = [lab.strip() for lab in lines[1].split(",")]
-    rows = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(labels):
-            raise SignalFormatError(
-                f"{path}: line {lineno}: expected {len(labels)} values, "
-                f"got {len(parts)}"
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise SignalFormatError(
-                f"{path}: line {lineno}: unreadable value"
-            ) from None
-    if not rows:
-        raise SignalFormatError(f"{path}: no sample rows")
-    data = np.array(rows, dtype=np.float64).T
+    body = [line for line in lines[2:] if line.strip()]
+    # numpy converts each str with float(), so one array call parses a
+    # well-formed body; a malformed one is parsed again line by line for
+    # the message
+    try:
+        rows = np.array([line.split(",") for line in body], dtype=np.float64)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (len(body), len(labels)):
+        rows = _parse_rows(path, lines, len(labels))
+    data = rows.T
     finite = np.isfinite(data).all(axis=0)
     if not finite.all():
         linenos = [n for n, line in enumerate(lines[2:], start=3) if line.strip()]
@@ -164,13 +199,15 @@ def read_signal_csv(path):
 
 def write_keyvalues(path, pairs):
     lines = [f"{key}={value}" for key, value in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_manifest(path):
     """Flat key=value text back into a dict of strings."""
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(
+        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+    ):
         if not line.strip():
             continue
         if "=" not in line:
@@ -188,20 +225,19 @@ def write_map_pgm(path, energy_map):
     """
     values = energy_map.values
     n_ch, n = values.shape
-    n_bins = -(-n // PGM_TIME_BIN)
-    binned = np.zeros((n_ch, n_bins))
-    for b in range(n_bins):
-        seg = values[:, b * PGM_TIME_BIN : min((b + 1) * PGM_TIME_BIN, n)]
-        binned[:, b] = seg.mean(axis=1)
+    n_full = n // PGM_TIME_BIN
+    edge = n_full * PGM_TIME_BIN
+    binned = values[:, :edge].reshape(n_ch, n_full, PGM_TIME_BIN).mean(axis=2)
+    if edge < n:
+        binned = np.hstack([binned, values[:, edge:].mean(axis=1, keepdims=True)])
     peak = binned.max()
     if peak > 0:
         gray = np.rint(binned / peak * 255).astype(int)
     else:
         gray = np.zeros_like(binned, dtype=int)
-    lines = ["P2", f"{n_bins} {n_ch}", "255"]
-    for row in gray:
-        lines.append(" ".join(str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = ["P2", f"{binned.shape[1]} {n_ch}", "255"]
+    lines.extend(" ".join(map(str, row)) for row in gray.tolist())
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +384,8 @@ def cmd_bench(config):
     )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "bench.csv").write_text(report["csv"])
-    (out / "bench.txt").write_text(report["text"])
+    (out / "bench.csv").write_text(report["csv"], encoding="utf-8")
+    (out / "bench.txt").write_text(report["text"], encoding="utf-8")
     print(f"software reference wall-clock: {report['wall_clock_s']:.3f} s")
     return EXIT_OK
 

@@ -11,7 +11,13 @@ package's own stages, because they are the references for the crops that
 `tfmap.map_row` and `despike.separate` make, not for the stages themselves.
 `full_separate` still splits the coefficients with its own indicator
 arithmetic, so that it checks the package's mask rule instead of reusing it.
+The CLI's text formats have per-value references: the signal CSV formatted
+one sample at a time, the PGM averaged one time bin at a time, and the CSV
+body parsed one value at a time with `float()`.
 """
+
+import math
+from pathlib import Path
 
 import numpy as np
 
@@ -293,3 +299,53 @@ def median_buildup(values, k_sigma, sample_rate_hz):
         ch for ch, row in enumerate(above) if row[onset : onset + horizon].any()
     )
     return threshold, onset, channels, peak
+
+
+def write_signal_csv_per_value(path, signal):
+    """The signal CSV written one sample at a time with `repr(float(v))`."""
+    lines = [f"# rate={signal.sample_rate_hz!r}", ",".join(signal.channel_labels)]
+    for row in signal.data.T:
+        lines.append(",".join(repr(float(v)) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_map_pgm_per_bin(path, values, time_bin):
+    """The PGM rendering with each time bin averaged on its own."""
+    n_ch, n = values.shape
+    n_bins = -(-n // time_bin)
+    binned = np.zeros((n_ch, n_bins))
+    for b in range(n_bins):
+        seg = values[:, b * time_bin : min((b + 1) * time_bin, n)]
+        binned[:, b] = seg.mean(axis=1)
+    peak = binned.max()
+    if peak > 0:
+        gray = np.rint(binned / peak * 255).astype(int)
+    else:
+        gray = np.zeros_like(binned, dtype=int)
+    lines = ["P2", f"{n_bins} {n_ch}", "255"]
+    for row in gray:
+        lines.append(" ".join(str(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def parse_signal_body(lines, n_labels):
+    """Body lines (after the two header lines) parsed with `float()`.
+
+    Blank lines are skipped. Returns the channels x samples array, or None
+    where the CSV reader must refuse the body: a row of the wrong width, a
+    value `float()` rejects, a non-finite value, or no rows at all.
+    """
+    rows = []
+    for line in lines:
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_labels:
+            return None
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            return None
+    if not rows or not all(math.isfinite(v) for row in rows for v in row):
+        return None
+    return np.array(rows, dtype=np.float64).T

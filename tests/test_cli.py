@@ -2,29 +2,44 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gammasep as g
 from gammasep.cli import (
     EXIT_INVALID,
     EXIT_NO_DETECTION,
     EXIT_OK,
+    PGM_TIME_BIN,
     RunConfig,
     SignalFormatError,
     load_config,
     main,
     read_manifest,
     read_signal_csv,
+    write_map_pgm,
     write_signal_csv,
 )
 from gammasep.signal_core import MultiChannelSignal
+from gammasep.tfmap import SpatioTemporalMap
 from frozen import RESEPARATION_ENERGY_FRACTION
+from oracles import (
+    parse_signal_body,
+    same_bits,
+    write_map_pgm_per_bin,
+    write_signal_csv_per_value,
+)
 
 FS = 512.0
 
@@ -327,6 +342,192 @@ class TestSignalCsv:
         path.write_text("# rate=512.0\nch1\n")
         with pytest.raises(SignalFormatError, match="no sample rows"):
             read_signal_csv(path)
+
+
+HEADER = "# rate=512.0\n"
+
+# values a per-value writer must spell exactly: signed zero, subnormals, the
+# largest magnitudes, whole numbers and a value needing all 17 digits
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7e308, -1.7e308,
+               3.0, -12.0, 1e16, 0.1 + 0.2]
+
+
+def csv_values():
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(EDGE_VALUES),
+        st.integers(-(10**6), 10**6).map(float),
+    )
+
+
+def map_values():
+    # non-negative, and small enough that no 10-sample sum overflows
+    return st.one_of(
+        st.floats(min_value=0.0, max_value=1.7e307),
+        st.sampled_from([-0.0, 0.0, 5e-324, 2.2e-308, 1.7e307, 1.0, 255.0]),
+        st.integers(0, 10**6).map(float),
+    )
+
+
+class TestCsvLabels:
+    @pytest.mark.parametrize(
+        "label", ["a,b", "a\nb", "a\rb", "a\u2028b", " c", "c ", "\tc", "c\n"]
+    )
+    def test_label_that_does_not_read_back_is_refused(self, tmp_path, label):
+        path = tmp_path / "sig.csv"
+        signal = MultiChannelSignal(FS, ("ok", label), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            write_signal_csv(path, signal)
+        assert not path.exists()
+
+    def test_unusual_labels_that_read_back_are_written(self, tmp_path):
+        signal = MultiChannelSignal(FS, ("Fp1 ref", "γ-3", ""), np.ones((3, 4)))
+        path = tmp_path / "sig.csv"
+        write_signal_csv(path, signal)
+        assert read_signal_csv(path).channel_labels == signal.channel_labels
+
+
+class TestWritersMatchThePerValueReferences:
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 8).flatmap(
+        lambda n_ch: st.integers(1, 25).flatmap(
+            lambda n: arrays(np.float64, (n_ch, n), elements=csv_values()))))
+    def test_signal_csv_bytes(self, tmp_path, data):
+        signal = MultiChannelSignal(
+            FS, tuple(f"ch{i + 1}" for i in range(data.shape[0])), data
+        )
+        fast, ref = (tmp_path / name for name in ("fast.csv", "ref.csv"))
+        write_signal_csv(fast, signal)
+        write_signal_csv_per_value(ref, signal)
+        assert fast.read_bytes() == ref.read_bytes()
+
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 8).flatmap(
+        lambda n_ch: st.integers(1, 25).flatmap(
+            lambda n: arrays(np.float64, (n_ch, n), elements=map_values()))),
+        st.booleans())
+    @example(np.zeros((3, 25)), False)
+    @example(np.zeros((1, 7)), True)
+    def test_map_pgm_bytes(self, tmp_path, values, fortran):
+        if fortran:
+            values = np.asfortranarray(values)
+        labels = tuple(f"ch{i + 1}" for i in range(values.shape[0]))
+        energy_map = SpatioTemporalMap(values, (80.0, 90.0), labels, FS)
+        fast, ref = (tmp_path / name for name in ("fast.pgm", "ref.pgm"))
+        write_map_pgm(fast, energy_map)
+        write_map_pgm_per_bin(ref, values, PGM_TIME_BIN)
+        assert fast.read_bytes() == ref.read_bytes()
+
+
+class TestCsvReaderPaths:
+    """The one-call parse and the line-by-line fallback read alike."""
+
+    def read(self, tmp_path, text, newline="\n"):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        return read_signal_csv(path)
+
+    def test_ragged_rows_with_a_multiple_of_the_width_name_the_first(self, tmp_path):
+        # 1 + 3 values fill two rows of 2, but neither row has 2
+        with pytest.raises(SignalFormatError, match="line 3: expected 2 values, got 1"):
+            self.read(tmp_path, HEADER + "a,b\n1.0\n2.0,3.0,4.0\n")
+
+    def test_row_with_too_many_values_names_its_line(self, tmp_path):
+        with pytest.raises(SignalFormatError, match="line 4: expected 2 values, got 3"):
+            self.read(tmp_path, HEADER + "a,b\n1.0,2.0\n1.0,2.0,3.0\n")
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        body = "a,b\n\n1.0,2.0\n   \n\n3.0,4.0\n\n"
+        back = self.read(tmp_path, HEADER + body)
+        assert np.array_equal(back.data, [[1.0, 3.0], [2.0, 4.0]])
+        with pytest.raises(SignalFormatError, match="line 9: unreadable value"):
+            self.read(tmp_path, HEADER + body + "5.0,x\n")
+        with pytest.raises(SignalFormatError, match="line 9: expected 2 values, got 1"):
+            self.read(tmp_path, HEADER + body + "5.0\n")
+        with pytest.raises(SignalFormatError, match="line 9: non-finite value"):
+            self.read(tmp_path, HEADER + body + "5.0,inf\n")
+
+    def test_crlf_line_endings(self, tmp_path):
+        back = self.read(tmp_path, HEADER + "a,b\n1.0,2.0\n3.0,4.0\n", newline="\r\n")
+        assert back.channel_labels == ("a", "b")
+        assert np.array_equal(back.data, [[1.0, 3.0], [2.0, 4.0]])
+        with pytest.raises(SignalFormatError, match="line 4: unreadable value"):
+            self.read(tmp_path, HEADER + "a,b\n1.0,2.0\n3.0,?\n", newline="\r\n")
+
+    def test_padded_values_and_digit_separators_read_as_float_does(self, tmp_path):
+        back = self.read(tmp_path, HEADER + "a,b\n 1.5 ,\t-2\n1_000, +3e2\n")
+        assert np.array_equal(back.data, [[1.5, 1000.0], [-2.0, 300.0]])
+
+    @pytest.mark.parametrize("bad", ["nan", "1e309", "-infinity"])
+    def test_non_finite_value_names_its_line(self, tmp_path, bad):
+        with pytest.raises(SignalFormatError, match="line 5: non-finite value"):
+            self.read(tmp_path, HEADER + f"a,b\n1.0,2.0\n3.0,4.0\n5.0,{bad}\n6.0,7.0\n")
+
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(1, 3),
+        st.lists(
+            st.one_of(
+                st.sampled_from(["", "  "]),
+                st.lists(
+                    st.one_of(
+                        st.floats().map(repr),
+                        st.sampled_from([
+                            " 1.5 ", "\t-2", "1_000", "+3e2", ".5", "-0.0", "5e-324",
+                            "1e309", "nan", "-inf", "", " ", "xyz", "1__0", "0x10",
+                            "١٢٣", "1e",
+                        ]),
+                        st.text(alphabet="0123456789.eE+-_ na", max_size=6),
+                    ),
+                    min_size=1, max_size=4,
+                ).map(",".join),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_accepts_exactly_what_float_accepts(self, tmp_path, width, body):
+        labels = ",".join(f"ch{i + 1}" for i in range(width))
+        expected = parse_signal_body(body, width)
+        try:
+            back = self.read(tmp_path, HEADER + labels + "\n" + "\n".join(body) + "\n")
+        except SignalFormatError:
+            assert expected is None
+        else:
+            assert expected is not None
+            assert same_bits(np.ascontiguousarray(back.data), expected.copy())
+
+
+_ENCODING_CHAIN_SCRIPT = """
+import sys
+from gammasep.cli import main
+
+out, config = sys.argv[1], sys.argv[2]
+codes = [
+    main(["simulate", "--config", config, "--out", out + "/s"]),
+    main(["despike", out + "/s/realization_000.csv", "--config", config,
+          "--out", out + "/d"]),
+    main(["map", out + "/d/oscillatory.csv", "--config", config, "--out", out + "/m"]),
+    main(["bench", "--config", config, "--out", out + "/b"]),
+]
+assert codes == [0, 0, 0, 0], codes
+"""
+
+
+def test_commands_name_every_text_encoding(tmp_path):
+    # EncodingWarning is raised only when the interpreter starts with
+    # -X warn_default_encoding, so the chain runs in its own process
+    package_root = os.path.dirname(os.path.dirname(g.__file__))
+    config = write_config(tmp_path, {"n_realizations": 1})
+    env = dict(os.environ, PYTHONPATH=package_root)
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error",
+         "-c", _ENCODING_CHAIN_SCRIPT, str(tmp_path), config],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("command", ["map", "despike"])

@@ -82,8 +82,8 @@ class RunConfig:
             raise ValueError(
                 f"band_hz must be [low, high] with 0 < low < high, got {list(band)}"
             )
-        object.__setattr__(self, "target_freq_hz", targets)
-        object.__setattr__(self, "band_hz", band)
+        object.__setattr__(self, "target_freq_hz", tuple(map(float, targets)))
+        object.__setattr__(self, "band_hz", tuple(map(float, band)))
 
 
 def load_config(path):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class SimConfig:
     Defaults give three channels at 45/55/85 Hz demonstrating the three
     overlap regimes in order, 5000 samples at 512 Hz, 200 realizations.
     Every float setting must be finite, except snr_db, which may be +inf
-    (no noise is added). burst_freqs_hz is a list of numbers and
+    (no noise is added). burst_freqs_hz is a non-empty list of numbers and
     overlap_regimes a list of as many regimes. n_samples and n_realizations
     are positive integers and rng_seed a non-negative one. The transient must span at least one
     sample, and every burst and transient must fit inside n_samples at each
@@ -119,12 +119,18 @@ class SimConfig:
             raise ValueError(
                 f"transient_width_ms must be positive, got {self.transient_width_ms!r}"
             )
+        # an int given for a float setting is stored, and later printed, as a float
+        for field in fields(self):
+            if field.type == "float":
+                object.__setattr__(self, field.name, float(getattr(self, field.name)))
         require_integer("n_samples", self.n_samples)
         require_integer("n_realizations", self.n_realizations)
         require_integer("rng_seed", self.rng_seed, minimum=0)
         freqs = tuple(
             float(f) for f in number_tuple("burst_freqs_hz", self.burst_freqs_hz)
         )
+        if not freqs:
+            raise ValueError("burst_freqs_hz must list at least one frequency")
         nyquist = self.sample_rate_hz / 2.0
         for f in freqs:
             if not 0 < f < nyquist:

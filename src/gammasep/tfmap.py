@@ -286,9 +286,12 @@ class SpatioTemporalMap:
         labels = tuple(str(lab) for lab in self.channel_labels)
         if len(labels) != values.shape[0]:
             raise ValueError(f"{len(labels)} labels for {values.shape[0]} rows")
+        # a view, so that freezing it leaves the caller's array writable
+        values = values.view()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "channel_labels", labels)
+        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
         object.__setattr__(self, "band_hz", tuple(float(b) for b in self.band_hz))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gammasep as g
-from gammasep.swt import wavelet_filters
+from gammasep.swt import FilterPair, wavelet_filters
 
 
 @pytest.fixture(scope="session")
@@ -14,7 +14,7 @@ def db4():
 
 @pytest.fixture(scope="session")
 def haar():
-    return wavelet_filters("haar")
+    return FilterPair.from_scaling("haar", np.array([1.0, 1.0]) / np.sqrt(2.0))
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,8 @@ package's own stages, because they are the references for the crops that
 `tfmap.map_row` and `despike.separate` make, not for the stages themselves.
 `full_separate` still splits the coefficients with its own indicator
 arithmetic, so that it checks the package's mask rule instead of reusing it.
+Filters of every even length come from a rotation lattice, not from the
+Daubechies factorization: random angles give random orthonormal filters.
 The CLI's text formats have per-value references: the signal CSV formatted
 one sample at a time, the PGM averaged one time bin at a time, and the CSV
 body parsed one value at a time with `float()`.
@@ -20,6 +22,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def same_bits(a, b):
@@ -34,6 +37,55 @@ def stuffed_filter(taps, level):
     out = np.zeros((taps.size - 1) * gap + 1)
     out[::gap] = taps
     return out
+
+
+# every even length of the lattice filters the transform properties run over
+FILTER_LENGTHS = range(2, 17, 2)
+
+
+def lattice_scaling(angles):
+    """Orthonormal scaling filter of 2K taps from K lattice angles.
+
+    The polyphase matrix R(a_K) D(z) R(a_K-1) ... D(z) R(a_1), with R a plane
+    rotation and D(z) = diag(1, z^-1), is paraunitary for any angles, so its
+    first row interleaves into a filter of unit norm orthogonal to its own
+    even shifts. Its taps sum to cos(a) + sin(a) for a the sum of the angles,
+    sqrt(2) when the angles sum to pi/4. One angle of pi/4 gives Haar.
+    """
+    def rotation(a):
+        return np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
+
+    # rows x polyphase components x taps of each component
+    poly = rotation(angles[0])[:, :, None]
+    for angle in angles[1:]:
+        delayed = np.zeros(poly.shape[:2] + (poly.shape[2] + 1,))
+        delayed[0, :, :-1] = poly[0]
+        delayed[1, :, 1:] = poly[1]
+        poly = np.einsum("ij,jkt->ikt", rotation(angle), delayed)
+    taps = np.empty(2 * poly.shape[2])
+    taps[0::2], taps[1::2] = poly[0]
+    return taps
+
+
+def random_orthonormal_filters(n_taps, seed):
+    """FilterPair of a random orthonormal scaling filter of n_taps (even) taps.
+
+    All lattice angles but the last are uniform on [-pi, pi); the last makes
+    them sum to pi/4.
+    """
+    from gammasep.swt import FilterPair
+
+    angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, n_taps // 2 - 1)
+    angles = [*angles, math.pi / 4 - angles.sum()]
+    return FilterPair.from_scaling(f"lattice{n_taps}", lattice_scaling(angles))
+
+
+# a random orthonormal filter pair of any length in FILTER_LENGTHS
+orthonormal_filters = st.builds(
+    random_orthonormal_filters,
+    st.sampled_from(FILTER_LENGTHS),
+    st.integers(0, 2**32 - 1),
+)
 
 
 def wrap_conv(x, taps):

@@ -86,6 +86,14 @@ class TestLoadConfig:
         assert config.sim.overlap_regimes == (g.OverlapRegime.SEPARATED,)
         assert config.band_hz == (40.0, 50.0)
 
+    def test_int_spellings_become_floats(self, tmp_path):
+        config = load_config(
+            write_config(tmp_path, {"band_hz": [80, 90], "target_freq_hz": [85]})
+        )
+        assert config.band_hz == (80.0, 90.0)
+        assert config.target_freq_hz == (85.0,)
+        assert all(type(v) is float for v in config.band_hz + config.target_freq_hz)
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"number_of_samples": 100}))
@@ -262,6 +270,18 @@ def test_fixed_analysis_setting_is_an_unknown_key(
     err = capsys.readouterr().err
     assert "fixed.json: unknown config keys" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_empty_burst_list_exits_invalid_naming_the_key(tmp_path, capsys, command):
+    config = write_config(
+        tmp_path, {"burst_freqs_hz": [], "overlap_regimes": []}, name="empty.json"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "empty.json: burst_freqs_hz must list at least one frequency" in err
+    assert not out.exists()
 
 
 def test_negative_seed_exits_invalid_naming_the_key(tmp_path, capsys):
@@ -997,3 +1017,40 @@ class TestEndToEnd:
         )
         for name in ("map.csv", "detection.txt", "map.pgm"):
             assert (map_out / name).exists()
+
+    def test_int_and_float_spellings_write_identical_trees(self, tmp_path, capsys):
+        floats = {
+            "sample_rate_hz": 512.0,
+            "snr_db": 5.0,
+            "noise_exponent": 1.0,
+            "burst_amplitude_uv": 50.0,
+            "transient_amplitude_uv": 100.0,
+            "transient_width_ms": 20.0,
+            "burst_freqs_hz": [45.0, 55.0, 85.0],
+            "target_freq_hz": [45.0, 55.0, 85.0],
+            "band_hz": [80.0, 90.0],
+        }
+        ints = json.loads(json.dumps(floats).replace(".0", ""))
+        assert ints["band_hz"] == [80, 90] and type(ints["snr_db"]) is int
+        trees = []
+        for name, setting in (("float", floats), ("int", ints)):
+            config = write_config(tmp_path, setting, name=f"{name}.json")
+            root = tmp_path / name
+            sim = root / "sim"
+            for argv in (
+                ["simulate", "--out", str(sim)],
+                ["despike", str(sim / "realization_001.csv"), "--out", str(root / "d")],
+                ["map", str(root / "d" / "oscillatory.csv"), "--out", str(root / "m")],
+                ["bench", "--out", str(root / "b")],
+            ):
+                assert main(argv[:1] + ["--config", config] + argv[1:]) == EXIT_OK
+            trees.append(
+                {
+                    path.relative_to(root).as_posix(): path.read_bytes()
+                    for path in root.rglob("*")
+                    if path.is_file()
+                }
+            )
+        capsys.readouterr()
+        assert len(trees[0]) == 4 + 3 + 3 + 2
+        assert trees[0] == trees[1]

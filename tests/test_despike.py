@@ -22,7 +22,15 @@ from gammasep.despike import (
 from gammasep.signal_core import TimeWindow, oscillation_duration_ms
 from gammasep.swt import swt_decompose, wavelet_filters
 from frozen import RESEPARATION_ENERGY_FRACTION
-from oracles import full_separate, pearson, placed_burst, same_bits
+from oracles import (
+    FILTER_LENGTHS,
+    full_separate,
+    orthonormal_filters,
+    pearson,
+    placed_burst,
+    random_orthonormal_filters,
+    same_bits,
+)
 
 FS = 512.0
 
@@ -291,8 +299,18 @@ class TestSeparate:
         assert result.mask_used == rebuilt
 
 
-FAMILIES = ("haar",) + tuple(f"db{p}" for p in range(1, 9))
-FILTERS = {name: wavelet_filters(name) for name in FAMILIES}
+DB4 = wavelet_filters("db4")
+
+
+def at_every_filter_length(test):
+    """Also run `test` on one random filter of every length, at the deepest
+    level on a short signal filled end to end with tiny values."""
+    for n_taps in FILTER_LENGTHS:
+        test = example(
+            n=64, filters=random_orthonormal_filters(n_taps, seed=n_taps), levels=6,
+            decade=-6, freq=45.0, place="inside", fraction=1.0, seed=n_taps,
+        )(test)
+    return test
 
 
 def assert_matches_full_synthesis(x, freq, filters, levels=5):
@@ -310,7 +328,7 @@ class TestSupportLocalSynthesis:
     @settings(deadline=None, max_examples=150)
     @given(
         n=st.integers(32, 4096),
-        family=st.sampled_from(FAMILIES),
+        filters=orthonormal_filters,
         levels=st.integers(3, 6),
         decade=st.integers(-6, 6),
         freq=st.sampled_from([45.0, 55.0, 85.0]),
@@ -319,16 +337,15 @@ class TestSupportLocalSynthesis:
         seed=st.integers(0, 2**32 - 1),
     )
     # windows clamped to either edge; n below the 294-sample db4 crop
-    @example(n=5000, family="db4", levels=5, decade=0, freq=85.0,
+    @example(n=5000, filters=DB4, levels=5, decade=0, freq=85.0,
              place="left", fraction=0.01, seed=1)
-    @example(n=5000, family="db4", levels=5, decade=0, freq=45.0,
+    @example(n=5000, filters=DB4, levels=5, decade=0, freq=45.0,
              place="right", fraction=0.01, seed=2)
-    @example(n=200, family="db4", levels=5, decade=3, freq=55.0,
+    @example(n=200, filters=DB4, levels=5, decade=3, freq=55.0,
              place="inside", fraction=0.3, seed=3)
-    @example(n=64, family="db8", levels=6, decade=-6, freq=45.0,
-             place="inside", fraction=1.0, seed=4)
+    @at_every_filter_length
     def test_matches_full_synthesis_on_any_stretch(
-        self, n, family, levels, decade, freq, place, fraction, seed
+        self, n, filters, levels, decade, freq, place, fraction, seed
     ):
         assume(2**levels <= n)
         rng = np.random.default_rng(seed)
@@ -338,7 +355,7 @@ class TestSupportLocalSynthesis:
         )
         x = np.zeros(n)
         x[start : start + length] = rng.standard_normal(length) * 10.0**decade
-        assert_matches_full_synthesis(x, freq, FILTERS[family], levels)
+        assert_matches_full_synthesis(x, freq, filters, levels)
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_matches_full_synthesis_on_protocol_channels(self, db4, index):

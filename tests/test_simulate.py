@@ -135,6 +135,22 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(overlap_regimes=("separated", "overlapped"))
 
+    def test_rejects_an_empty_burst_list(self):
+        with pytest.raises(ValueError, match="burst_freqs_hz must list at least one"):
+            SimConfig(burst_freqs_hz=[], overlap_regimes=[])
+
+    def test_float_settings_given_as_ints_are_stored_as_floats(self):
+        given = dict(sample_rate_hz=512, snr_db=5, noise_exponent=1,
+                     burst_amplitude_uv=50, transient_amplitude_uv=100,
+                     transient_width_ms=20, burst_freqs_hz=[45, 55, 85])
+        config = SimConfig(**given)
+        assert config == SimConfig()
+        for key in given:
+            value = getattr(config, key)
+            for v in value if isinstance(value, tuple) else (value,):
+                assert type(v) is float, key
+        assert repr(config.sample_rate_hz) == "512.0"
+
     @pytest.mark.parametrize(
         "key",
         ["sample_rate_hz", "noise_exponent", "burst_amplitude_uv",

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gammasep.backends import circular_conv
@@ -14,7 +14,15 @@ from gammasep.swt import (
     swt_decompose,
     wavelet_filters,
 )
-from oracles import direct_iswt, direct_swt, loop_conv, stuffed_filter
+from oracles import (
+    FILTER_LENGTHS,
+    direct_iswt,
+    direct_swt,
+    loop_conv,
+    orthonormal_filters,
+    random_orthonormal_filters,
+    stuffed_filter,
+)
 
 # the widely tabulated 8-tap orthonormal scaling filter
 DB4_SCALING = [
@@ -32,32 +40,29 @@ DB4_SCALING = [
 class TestFilterFamilies:
     def test_db4_matches_published_taps(self):
         filters = wavelet_filters("db4")
-        np.testing.assert_allclose(filters.rec_lo, DB4_SCALING, atol=1e-10)
+        np.testing.assert_allclose(filters.rec_lo, DB4_SCALING, atol=5e-13)
         np.testing.assert_allclose(
-            filters.dec_lo, DB4_SCALING[::-1], atol=1e-10
+            filters.dec_lo, DB4_SCALING[::-1], atol=5e-13
         )
 
-    @pytest.mark.parametrize(
-        "name", ["haar"] + [f"db{p}" for p in range(1, 9)]
-    )
-    def test_family_is_orthonormal(self, name):
-        filters = wavelet_filters(name)
-        order = 1 if name == "haar" else int(name[2:])
-        assert filters.length == 2 * order
-        assert np.sum(filters.dec_lo**2) == pytest.approx(1.0, abs=1e-10)
-        assert np.sum(filters.dec_lo) == pytest.approx(
-            np.sqrt(2.0), abs=1e-10
-        )
-        assert np.sum(filters.dec_hi) == pytest.approx(0.0, abs=1e-10)
+    def test_fixed_taps_are_orthonormal(self):
+        h = wavelet_filters("db4").rec_lo
+        assert h.size == 8
+        assert abs(np.sum(h**2) - 1.0) <= 1e-15
+        assert abs(np.sum(h) - np.sqrt(2.0)) <= 1e-15
+        for shift in (2, 4, 6):
+            assert abs(np.dot(h[shift:], h[:-shift])) <= 1e-15
 
-    def test_haar_is_db1(self):
-        np.testing.assert_allclose(
-            wavelet_filters("haar").dec_lo, wavelet_filters("db1").dec_lo
-        )
+    def test_high_pass_has_four_vanishing_moments(self):
+        g = wavelet_filters("db4").dec_hi
+        k = np.arange(g.size, dtype=np.float64)
+        for moment in range(4):
+            assert abs(np.sum(k**moment * g)) <= 1e-12
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown wavelet"):
-            wavelet_filters("sym5")
+        for name in ("sym5", "haar", "db2", " DB4"):
+            with pytest.raises(ValueError, match="unknown wavelet"):
+                wavelet_filters(name)
 
     @pytest.mark.parametrize("name", [4, None, b"db4"])
     def test_non_string_name_rejected(self, name):
@@ -65,7 +70,7 @@ class TestFilterFamilies:
             wavelet_filters(name)
 
     def test_broken_pair_fails_roundtrip_probe(self):
-        good = wavelet_filters("db2")
+        good = wavelet_filters("db4")
         with pytest.raises(ValueError, match="reconstruction"):
             FilterPair(
                 name="broken",
@@ -162,9 +167,11 @@ class TestReconstruct:
         back = iswt_reconstruct(swt_decompose(x, db4, 5), db4)
         assert np.max(np.abs(back - x)) < 1e-9 * np.max(np.abs(x))
 
-    @pytest.mark.parametrize("name", ["haar", "db2", "db6", "db8"])
-    def test_roundtrip_other_families(self, name, rng):
-        filters = wavelet_filters(name)
+    # random orthonormal filters as long as haar, db2, db6 and db8; the
+    # 2-tap lattice filter is always haar
+    @pytest.mark.parametrize("n_taps", [2, 4, 12, 16], ids=["haar", "db2", "db6", "db8"])
+    def test_roundtrip_other_families(self, n_taps, rng):
+        filters = random_orthonormal_filters(n_taps, seed=n_taps)
         x = rng.standard_normal(300)
         back = iswt_reconstruct(swt_decompose(x, filters, 4), filters)
         assert np.max(np.abs(back - x)) < 1e-9 * np.max(np.abs(x))
@@ -236,27 +243,38 @@ class TestAgainstDirectDefinition:
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
-FAMILIES = ["haar"] + [f"db{p}" for p in range(1, 9)]
-
-
-@st.composite
-def transform_problems(draw):
-    """A family, a depth, and a random signal at least as long as the
-    deepest zero-stuffed filter, the shortest on which `wrap_conv` is exact."""
-    name = draw(st.sampled_from(FAMILIES))
-    levels = draw(st.integers(1, 6))
-    filters = wavelet_filters(name)
+def transform_problem(filters, levels, extra, seed, decade, shift):
+    """A depth and a random signal at least as long as the deepest
+    zero-stuffed filter, the shortest on which `wrap_conv` is exact."""
     shortest = max(stuffed_filter(filters.dec_lo, levels).size, 2**levels)
-    n = draw(st.integers(shortest, shortest + 300))
-    seed = draw(st.integers(0, 2**32 - 1))
-    decade = draw(st.integers(-6, 6))
+    n = shortest + extra
     x = np.random.default_rng(seed).standard_normal(n) * 10.0**decade
-    shift = draw(st.integers(1, n - 1))
-    return filters, levels, x, shift
+    return filters, levels, x, 1 + shift % (n - 1)
+
+
+transform_problems = st.builds(
+    transform_problem,
+    filters=orthonormal_filters,
+    levels=st.integers(1, 6),
+    extra=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    decade=st.integers(-6, 6),
+    shift=st.integers(0, 2**16),
+)
+
+
+def at_every_filter_length(test):
+    """Run `test` on db4 and on one random filter of every length, each at
+    the deepest level on its shortest signal."""
+    every_length = [random_orthonormal_filters(n, seed=n) for n in FILTER_LENGTHS]
+    for filters in [wavelet_filters("db4"), *every_length]:
+        test = example(problem=transform_problem(filters, 6, 0, 0, 0, 1))(test)
+    return test
 
 
 @settings(deadline=None, max_examples=60)
-@given(problem=transform_problems())
+@given(problem=transform_problems)
+@at_every_filter_length
 def test_transform_properties_across_families(problem):
     filters, levels, x, shift = problem
     scale = np.max(np.abs(x))

@@ -428,6 +428,20 @@ class TestSpatioTemporalMap:
         with pytest.raises(ValueError):
             spatiotemporal_map(signal, (80.0, 300.0))
 
+    def test_container_freezes_a_view_not_the_callers_array(self):
+        values = np.ones((2, 8))
+        energy_map = SpatioTemporalMap(
+            values=values, band_hz=(80, 90), channel_labels=("a", "b"), sample_rate_hz=512
+        )
+        assert values.flags.writeable
+        assert energy_map.values is not values
+        assert np.shares_memory(energy_map.values, values)
+        assert not energy_map.values.flags.writeable
+        with pytest.raises(ValueError):
+            energy_map.values[0, 0] = 2.0
+        assert type(energy_map.sample_rate_hz) is float
+        assert energy_map.band_hz == (80.0, 90.0)
+
     def test_container_rejects_negative_values(self):
         with pytest.raises(ValueError):
             SpatioTemporalMap(

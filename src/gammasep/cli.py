@@ -255,7 +255,7 @@ def cmd_simulate(config):
         pairs = [
             ("realization", idx),
             ("rng_seed", sim.rng_seed),
-            ("sample_rate_hz", repr(sim.sample_rate_hz)),
+            ("sample_rate_hz", repr(simulate.SAMPLE_RATE_HZ)),
             ("n_samples", sim.n_samples),
             ("snr_db", repr(sim.snr_db)),
         ]

@@ -1,9 +1,11 @@
 """Synthetic three-channel recordings mixing gamma bursts, biphasic
 transients and colored noise under controlled overlap regimes.
 
-Each realization places one tapered sinusoidal burst and one spike per
-channel, then adds spectrally shaped noise scaled to an exact signal-to-noise
-ratio over the burst window. Everything is deterministic given the seed.
+The recording protocol is fixed: 512 Hz sampling, 1/f noise, 50 uV bursts
+and 100 uV, 20 ms spikes (the module constants below). Each realization
+places one tapered sinusoidal burst and one spike per channel, then adds
+the noise scaled to an exact signal-to-noise ratio over the burst window.
+Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +35,12 @@ __all__ = [
     "gen_transient",
 ]
 
+SAMPLE_RATE_HZ = 512.0
+NOISE_EXPONENT = 1.0
+BURST_AMPLITUDE_UV = 50.0
+TRANSIENT_AMPLITUDE_UV = 100.0
+TRANSIENT_WIDTH_MS = 20.0
+
 
 class OverlapRegime(enum.Enum):
     SEPARATED = "separated"
@@ -52,7 +60,11 @@ def require_number(key, value):
     """Raise unless `value` is a finite real number (not a bool)."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise TypeError(f"{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{key} is too large for a float") from None
+    if not finite:
         raise ValueError(f"{key} must be finite, got {value!r}")
 
 
@@ -68,16 +80,16 @@ def number_tuple(key, value):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Tunables of the simulated protocol.
+    """The six settings of the simulated protocol.
 
     Defaults give three channels at 45/55/85 Hz demonstrating the three
-    overlap regimes in order, 5000 samples at 512 Hz, 200 realizations.
-    Every float setting must be finite, except snr_db, which may be +inf
-    (no noise is added). burst_freqs_hz is a non-empty list of numbers and
-    overlap_regimes a list of as many regimes. n_samples and n_realizations
-    are positive integers and rng_seed a non-negative one. The transient must span at least one
-    sample, and every burst and transient must fit inside n_samples at each
-    placement `build_realization` gives it.
+    overlap regimes in order, 5000 samples, 5 dB SNR, 200 realizations.
+    burst_freqs_hz is a non-empty list of numbers below SAMPLE_RATE_HZ / 2
+    and overlap_regimes a list of as many regimes. snr_db lies within
+    +-300 dB or is +inf (no noise is added). n_samples and n_realizations
+    are positive integers and rng_seed a non-negative one. Every burst and
+    transient must fit inside n_samples at each placement
+    `build_realization` gives it.
 
     rng_seed does not give independent data per seed: channel ch of
     realization i draws its noise from seed (rng_seed ^ i) * n_channels + ch,
@@ -88,7 +100,6 @@ class SimConfig:
     count.
     """
 
-    sample_rate_hz: float = 512.0
     n_samples: int = 5000
     burst_freqs_hz: tuple = (45.0, 55.0, 85.0)
     overlap_regimes: tuple = (
@@ -99,30 +110,20 @@ class SimConfig:
     snr_db: float = 5.0
     n_realizations: int = 200
     rng_seed: int = 0
-    noise_exponent: float = 1.0
-    burst_amplitude_uv: float = 50.0
-    transient_amplitude_uv: float = 100.0
-    transient_width_ms: float = 20.0
 
     def __post_init__(self):
-        for key in ("sample_rate_hz", "noise_exponent", "burst_amplitude_uv",
-                    "transient_amplitude_uv", "transient_width_ms"):
-            require_number(key, getattr(self, key))
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if not isinstance(self.snr_db, numbers.Real) or isinstance(self.snr_db, bool):
-            raise TypeError(f"snr_db must be a number, got {self.snr_db!r}")
-        # +inf is the noiseless setting; NaN and -inf have no meaning
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db!r}")
-        if self.transient_width_ms <= 0:
+        snr = self.snr_db
+        if not isinstance(snr, numbers.Real) or isinstance(snr, bool):
+            raise TypeError(f"snr_db must be a number, got {snr!r}")
+        # +inf is the noiseless setting. Within +-300 dB the noise scale is
+        # finite (at 300 dB the noise amplitude is 1e-15 of the clean part,
+        # float64's rounding of it); the comparison also refuses NaN and -inf
+        if snr != math.inf and not -300 <= snr <= 300:
             raise ValueError(
-                f"transient_width_ms must be positive, got {self.transient_width_ms!r}"
+                f"snr_db must be finite within [-300, 300] or +inf, got {snr!r}"
             )
-        # an int given for a float setting is stored, and later printed, as a float
-        for field in fields(self):
-            if field.type == "float":
-                object.__setattr__(self, field.name, float(getattr(self, field.name)))
+        # an int snr_db is stored, and later printed, as a float
+        object.__setattr__(self, "snr_db", float(snr))
         require_integer("n_samples", self.n_samples)
         require_integer("n_realizations", self.n_realizations)
         require_integer("rng_seed", self.rng_seed, minimum=0)
@@ -131,7 +132,7 @@ class SimConfig:
         )
         if not freqs:
             raise ValueError("burst_freqs_hz must list at least one frequency")
-        nyquist = self.sample_rate_hz / 2.0
+        nyquist = SAMPLE_RATE_HZ / 2.0
         for f in freqs:
             if not 0 < f < nyquist:
                 raise ValueError(f"burst frequency {f} outside (0, {nyquist})")
@@ -153,19 +154,13 @@ class SimConfig:
 
     def _check_placements(self):
         """Raise unless every realization's burst and transient fit the signal."""
-        fs = self.sample_rate_hz
-        spike_len = ms_to_samples(self.transient_width_ms, fs)
-        if spike_len < 1:
-            raise ValueError(
-                f"transient_width_ms {self.transient_width_ms!r} is shorter than "
-                f"one sample at {fs!r} Hz"
-            )
+        spike_len = ms_to_samples(TRANSIENT_WIDTH_MS, SAMPLE_RATE_HZ)
         n = self.n_samples
         # the overlapped spike moves monotonically with the sweep, so the
         # first and last realizations bound every placement
         sweeps = {_sweep(self, 0), _sweep(self, self.n_realizations - 1)}
         for freq, regime in zip(self.burst_freqs_hz, self.overlap_regimes):
-            burst_len = ms_to_samples(oscillation_duration_ms(freq), fs)
+            burst_len = ms_to_samples(oscillation_duration_ms(freq), SAMPLE_RATE_HZ)
             for sweep in sweeps:
                 starts = _layout(n, burst_len, spike_len, regime, sweep)[:2]
                 for start, length in zip(starts, (burst_len, spike_len)):
@@ -307,8 +302,8 @@ def build_realization(config, realization_index):
             f"[0, {config.n_realizations})"
         )
     n = config.n_samples
-    fs = config.sample_rate_hz
     sweep = _sweep(config, realization_index)
+    spike = gen_transient(TRANSIENT_WIDTH_MS, TRANSIENT_AMPLITUDE_UV, SAMPLE_RATE_HZ)
 
     rows = []
     truths = []
@@ -316,10 +311,7 @@ def build_realization(config, realization_index):
         zip(config.burst_freqs_hz, config.overlap_regimes)
     ):
         burst = gen_gamma_burst(
-            freq, oscillation_duration_ms(freq), config.burst_amplitude_uv, fs
-        )
-        spike = gen_transient(
-            config.transient_width_ms, config.transient_amplitude_uv, fs
+            freq, oscillation_duration_ms(freq), BURST_AMPLITUDE_UV, SAMPLE_RATE_HZ
         )
         burst_start, spike_start, fraction = _layout(
             n, burst.size, spike.size, regime, sweep
@@ -331,7 +323,7 @@ def build_realization(config, realization_index):
         noisy = clean
         if math.isfinite(config.snr_db):
             noise = gen_colored_noise(
-                n, config.noise_exponent, _channel_seed(config, realization_index, ch)
+                n, NOISE_EXPONENT, _channel_seed(config, realization_index, ch)
             )
             win = slice(burst_window.start_sample, burst_window.end_sample)
             clean_power = np.mean(clean[win] ** 2)
@@ -350,7 +342,7 @@ def build_realization(config, realization_index):
         )
 
     signal = MultiChannelSignal(
-        sample_rate_hz=fs,
+        sample_rate_hz=SAMPLE_RATE_HZ,
         channel_labels=tuple(f"ch{c + 1}" for c in range(config.n_channels)),
         data=np.vstack(rows),
     )

@@ -251,14 +251,14 @@ def pearson(a, b):
 
 def placed_burst(truth_channel, config):
     """Re-create the clean burst trace a ground-truth entry describes."""
-    from gammasep.simulate import gen_gamma_burst
+    from gammasep.simulate import BURST_AMPLITUDE_UV, SAMPLE_RATE_HZ, gen_gamma_burst
     from gammasep.signal_core import oscillation_duration_ms
 
     burst = gen_gamma_burst(
         truth_channel.burst_freq_hz,
         oscillation_duration_ms(truth_channel.burst_freq_hz),
-        config.burst_amplitude_uv,
-        config.sample_rate_hz,
+        BURST_AMPLITUDE_UV,
+        SAMPLE_RATE_HZ,
     )
     out = np.zeros(config.n_samples)
     start = truth_channel.burst_window.start_sample

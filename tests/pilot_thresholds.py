@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
 import gammasep as g
-from gammasep import tfmap
+from gammasep import simulate, tfmap
 from gammasep.swt import wavelet_filters
 
 
@@ -28,7 +28,7 @@ def sweep_correlations(cfg, filters):
         sig, truth = g.build_realization(cfg, idx)
         for ch, ct in enumerate(truth.channels):
             osc, _, _ = oracles.ref_separate(
-                sig.data[ch], ct.burst_freq_hz, cfg.sample_rate_hz,
+                sig.data[ch], ct.burst_freq_hz, sig.sample_rate_hz,
                 filters.dec_lo, filters.dec_hi,
                 filters.rec_lo, filters.rec_hi)
             corrs[ct.burst_freq_hz].append(
@@ -40,12 +40,12 @@ def noise_map_ratios(cfg):
     ratios = []
     for idx in range(cfg.n_realizations):
         rows = [
-            g.gen_colored_noise(cfg.n_samples, cfg.noise_exponent,
+            g.gen_colored_noise(cfg.n_samples, simulate.NOISE_EXPONENT,
                                 (cfg.rng_seed ^ idx) * 3 + ch)
             for ch in range(3)
         ]
         sig = g.MultiChannelSignal(
-            sample_rate_hz=cfg.sample_rate_hz,
+            sample_rate_hz=simulate.SAMPLE_RATE_HZ,
             channel_labels=("ch1", "ch2", "ch3"),
             data=np.vstack(rows))
         m = tfmap.spatiotemporal_map(sig, (80.0, 90.0))
@@ -56,7 +56,7 @@ def noise_map_ratios(cfg):
 def buildup_detection_rates(cfg):
     """Criterion 6 measured on a protocol: paired wins, onsets within
     +-100 ms with the gamma channel, and the median onset error in ms."""
-    fs = cfg.sample_rate_hz
+    fs = simulate.SAMPLE_RATE_HZ
     wins = 0
     accurate = 0
     errors_ms = []

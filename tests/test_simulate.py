@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from gammasep.simulate import (
+    BURST_AMPLITUDE_UV,
+    SAMPLE_RATE_HZ,
+    TRANSIENT_AMPLITUDE_UV,
+    TRANSIENT_WIDTH_MS,
     OverlapRegime,
     SimConfig,
     build_realization,
@@ -140,31 +144,24 @@ class TestSimConfig:
             SimConfig(burst_freqs_hz=[], overlap_regimes=[])
 
     def test_float_settings_given_as_ints_are_stored_as_floats(self):
-        given = dict(sample_rate_hz=512, snr_db=5, noise_exponent=1,
-                     burst_amplitude_uv=50, transient_amplitude_uv=100,
-                     transient_width_ms=20, burst_freqs_hz=[45, 55, 85])
-        config = SimConfig(**given)
+        config = SimConfig(snr_db=5, burst_freqs_hz=[45, 55, 85])
         assert config == SimConfig()
-        for key in given:
-            value = getattr(config, key)
-            for v in value if isinstance(value, tuple) else (value,):
-                assert type(v) is float, key
-        assert repr(config.sample_rate_hz) == "512.0"
+        assert type(config.snr_db) is float
+        assert all(type(f) is float for f in config.burst_freqs_hz)
+        assert repr(config.snr_db) == "5.0"
 
     @pytest.mark.parametrize(
-        "key",
-        ["sample_rate_hz", "noise_exponent", "burst_amplitude_uv",
-         "transient_amplitude_uv", "transient_width_ms"],
+        "bad",
+        [math.nan, -math.inf, 300.5, -4000.0, pytest.param(10**400, id="10**400")],
     )
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_settings(self, key, bad):
-        with pytest.raises(ValueError, match=f"{key} must be finite"):
-            SimConfig(**{key: bad})
-
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_rejects_meaningless_snr(self, bad):
         with pytest.raises(ValueError, match="snr_db"):
             SimConfig(snr_db=bad)
+
+    @pytest.mark.parametrize("snr_db", [300, -300])
+    def test_extreme_accepted_snr_builds_finite_data(self, snr_db):
+        signal, _ = build_realization(SimConfig(snr_db=snr_db, n_realizations=2), 0)
+        assert np.isfinite(signal.data).all()
 
     @pytest.mark.parametrize(
         "key, bad",
@@ -181,11 +178,6 @@ class TestSimConfig:
     def test_rejects_mistyped_settings(self, key, bad):
         with pytest.raises(TypeError, match=key):
             SimConfig(**{key: bad})
-
-    @pytest.mark.parametrize("width", [0.0, -5.0])
-    def test_rejects_nonpositive_transient_width(self, width):
-        with pytest.raises(ValueError, match="transient_width_ms must be positive"):
-            SimConfig(transient_width_ms=width)
 
     @pytest.mark.parametrize("n_realizations", [1, 2])
     def test_shortest_accepted_length_builds_every_realization(self, n_realizations):
@@ -270,13 +262,11 @@ class TestBuildRealization:
             burst = gen_gamma_burst(
                 ct.burst_freq_hz,
                 oscillation_duration_ms(ct.burst_freq_hz),
-                config.burst_amplitude_uv,
-                config.sample_rate_hz,
+                BURST_AMPLITUDE_UV,
+                SAMPLE_RATE_HZ,
             )
             spike = gen_transient(
-                config.transient_width_ms,
-                config.transient_amplitude_uv,
-                config.sample_rate_hz,
+                TRANSIENT_WIDTH_MS, TRANSIENT_AMPLITUDE_UV, SAMPLE_RATE_HZ
             )
             expected = np.zeros(config.n_samples)
             bw, tw = ct.burst_window, ct.transient_window

@@ -34,6 +34,7 @@ from gammasep.tfmap import (
     _first_sustained_runs,
     _map_reach,
 )
+from gammasep.simulate import NOISE_EXPONENT
 from frozen import NOISE_MAP_MAX_OVER_MEDIAN
 from oracles import first_sustained_run, full_map_row, median_buildup, same_bits
 
@@ -683,7 +684,7 @@ def test_noise_only_maps_stay_flat(default_config):
         rows = [
             g.gen_colored_noise(
                 default_config.n_samples,
-                default_config.noise_exponent,
+                NOISE_EXPONENT,
                 (default_config.rng_seed ^ idx) * 3 + ch,
             )
             for ch in range(3)

@@ -94,6 +94,9 @@ def load_config(path):
         raise SignalFormatError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise SignalFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # an integer past Python's int-string digit limit
+        raise SignalFormatError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SignalFormatError(f"{path}: config must be a JSON object")
     sim_keys = {f.name for f in fields(simulate.SimConfig)}

@@ -33,10 +33,16 @@ cumulative sum over the zeros left out adds exact +0.0, and the peak
 low-band energy that sets the divisor floor is unchanged, so the full-row
 chain yields exact zeros outside the crop as well. A despiked channel is
 zero away from its burst, so most of its row is never filtered.
+
+None of the chain's filters depends on the row: the band's taps, the
+10-15 Hz taps and the Morlet bank are each built once per band and sample
+rate, kept in a small cache, and handed out read-only, so every row of
+every map shares them and no caller can change them for the next.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,6 +84,8 @@ RAMP_FRACTION = 0.5 - RUN_LENGTH / SMOOTH_WIDTH
 # keep kernel samples while the Gaussian envelope is at least this fraction
 # of its peak
 _ENVELOPE_FLOOR = 1e-6
+# entries of each filter cache; one map uses two tap arrays and one bank
+_FILTER_CACHE_SIZE = 16
 
 
 def scale_for_frequency(freq_hz, sample_rate_hz):
@@ -151,20 +159,28 @@ def morlet_transform(x, params):
 
     The kernels of every scale, each centered and zero-padded to the
     longest, form one bank that `centered_conv_complex` applies in a single
-    call, so the per-scale loop is one matrix product. Each response is
-    within a few 1e-15 of its peak of the kernel's own `np.convolve`, and
-    is the same wherever a sample sits in x, which `map_row`'s crop needs.
+    call, so the per-scale loop is one matrix product. The bank is built
+    once per scale tuple and is read-only. Each response is within a few
+    1e-15 of its peak of the kernel's own `np.convolve`, and is the same
+    wherever a sample sits in x, which `map_row`'s crop needs.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("input must be a non-empty 1-D sequence")
-    radius = _morlet_radius(max(params.scales))
-    bank = np.zeros((len(params.scales), 2 * radius + 1), dtype=np.complex128)
-    for row, a in zip(bank, params.scales):
+    return centered_conv_complex(x, _morlet_bank(params.scales))
+
+
+@functools.lru_cache(maxsize=_FILTER_CACHE_SIZE)
+def _morlet_bank(scales):
+    """Read-only bank of `morlet_kernel` at each dilation, centered in the longest."""
+    radius = _morlet_radius(max(scales))
+    bank = np.zeros((len(scales), 2 * radius + 1), dtype=np.complex128)
+    for row, a in zip(bank, scales):
         kernel = morlet_kernel(a)
         pad = radius - kernel.size // 2
         row[pad : pad + kernel.size] = kernel
-    return centered_conv_complex(x, bank)
+    bank.setflags(write=False)
+    return bank
 
 
 def _bandpass_length(sample_rate_hz):
@@ -178,6 +194,8 @@ def bandpass_taps(band_hz, sample_rate_hz):
 
     Length is set for a 5 Hz transition width, the tap sum is zeroed so DC
     is rejected exactly, and the gain is normalized to one at band center.
+    The taps are built once per band and rate, from their float values, and
+    are read-only.
     """
     low, high = band_hz
     nyquist = sample_rate_hz / 2.0
@@ -185,6 +203,11 @@ def bandpass_taps(band_hz, sample_rate_hz):
         raise ValueError(
             f"band must satisfy 0 < low < high < {nyquist}, got {band_hz}"
         )
+    return _bandpass_taps(float(low), float(high), float(sample_rate_hz))
+
+
+@functools.lru_cache(maxsize=_FILTER_CACHE_SIZE)
+def _bandpass_taps(low, high, sample_rate_hz):
     n_taps = _bandpass_length(sample_rate_hz)
     m = np.arange(n_taps) - (n_taps - 1) / 2.0
     ideal = (2.0 * high / sample_rate_hz) * np.sinc(2.0 * high * m / sample_rate_hz) - (
@@ -198,6 +221,7 @@ def bandpass_taps(band_hz, sample_rate_hz):
     )
     if gain > 0.0:
         taps = taps / gain
+    taps.setflags(write=False)
     return taps
 
 

@@ -11,6 +11,8 @@ package's own stages, because they are the references for the crops that
 `tfmap.map_row` and `despike.separate` make, not for the stages themselves.
 `full_separate` still splits the coefficients with its own indicator
 arithmetic, so that it checks the package's mask rule instead of reusing it.
+`fresh_map_row` is the cropped row with every filter built anew on each
+call, the reference for the taps and banks that `tfmap` keeps.
 Filters of every even length come from a rotation lattice, not from the
 Daubechies factorization: random angles give random orthonormal filters.
 The CLI's text formats have per-value references: the signal CSV formatted
@@ -284,6 +286,57 @@ def full_map_row(x, band_hz, params):
     if not np.isfinite(smoothed).all():
         raise ValueError("band energy is not finite; check the input scale")
     return normalize_by_low_band(smoothed, x, params.sample_rate_hz)
+
+
+def fresh_map_row(x, band_hz, params):
+    """map_row with its band-pass taps and Morlet bank rebuilt on every call.
+
+    The taps come from the builder behind `tfmap.bandpass_taps`'s cache, and
+    the bank is one `morlet_kernel` per scale centered in the longest; the
+    crop, the smoother and the floored divisor are written out as map_row
+    applies them.
+    """
+    from gammasep.backends import centered_conv, centered_conv_complex
+    from gammasep.tfmap import (
+        LOW_BAND_HZ,
+        RAMP_FRACTION,
+        SMOOTH_WIDTH,
+        _bandpass_taps,
+        _map_reach,
+        _morlet_radius,
+        envelope_smooth,
+        morlet_kernel,
+    )
+
+    def taps(band):
+        low, high = band
+        return _bandpass_taps.__wrapped__(
+            float(low), float(high), float(params.sample_rate_hz)
+        )
+
+    radius = _morlet_radius(max(params.scales))
+    bank = np.zeros((len(params.scales), 2 * radius + 1), dtype=np.complex128)
+    for row, a in zip(bank, params.scales):
+        kernel = morlet_kernel(a)
+        pad = radius - kernel.size // 2
+        row[pad:pad + kernel.size] = kernel
+
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    support = np.flatnonzero(x)
+    if support.size == 0:
+        return out
+    reach = _map_reach(params)
+    lo = max(int(support[0]) - reach, 0)
+    hi = min(int(support[-1]) + 1 + reach, x.size)
+    window = x[lo:hi]
+    response = centered_conv_complex(centered_conv(window, taps(band_hz)), bank)
+    band_energy = envelope_smooth(np.mean(np.abs(response) ** 2, axis=0), SMOOTH_WIDTH)
+    low = centered_conv(window, taps(LOW_BAND_HZ))
+    low_energy = envelope_smooth(low * low, SMOOTH_WIDTH)
+    denom = np.maximum(low_energy, RAMP_FRACTION * np.max(low_energy))
+    np.divide(band_energy, denom, out=out[lo:hi], where=denom > 0.0)
+    return out
 
 
 def full_separate(x, target_freq_hz, sample_rate_hz, filters, levels=5):

@@ -272,6 +272,20 @@ def test_integer_too_large_for_a_float_exits_invalid_naming_the_key(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_integer_past_the_digit_limit_exits_invalid_naming_the_file(
+    tmp_path, capsys, command
+):
+    # json.loads refuses an integer of more than 4300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    path = tmp_path / "big.json"
+    path.write_text('{"snr_db": 1' + "0" * 5000 + "}")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "despike", "map", "bench"])
 @pytest.mark.parametrize(
     "setting",
@@ -945,6 +959,17 @@ class TestMapCommand:
         lines = (out / "map.pgm").read_text().splitlines()
         grays = {int(v) for row in lines[3:] for v in row.split()}
         assert grays == {0}
+
+    def test_outputs_do_not_depend_on_the_filter_cache(self, tmp_path):
+        csv_path = self._despiked_clean_csv(tmp_path)
+        g.tfmap._bandpass_taps.cache_clear()
+        g.tfmap._morlet_bank.cache_clear()
+        for out, band in (("cold", "80:90"), ("other", "40:50"), ("warm", "80:90")):
+            argv = ["map", csv_path, "--band", band, "--out", str(tmp_path / out)]
+            assert main(argv) == EXIT_OK
+        for name in ("map.csv", "map.pgm", "detection.txt"):
+            cold = (tmp_path / "cold" / name).read_bytes()
+            assert (tmp_path / "warm" / name).read_bytes() == cold
 
     def test_inverted_band_exits_invalid(self, tmp_path, capsys):
         csv_path = zero_signal_csv(tmp_path)

@@ -36,7 +36,13 @@ from gammasep.tfmap import (
 )
 from gammasep.simulate import NOISE_EXPONENT
 from frozen import NOISE_MAP_MAX_OVER_MEDIAN
-from oracles import first_sustained_run, full_map_row, median_buildup, same_bits
+from oracles import (
+    first_sustained_run,
+    fresh_map_row,
+    full_map_row,
+    median_buildup,
+    same_bits,
+)
 
 FS = 512.0
 BAND = (80.0, 90.0)
@@ -203,10 +209,44 @@ class TestBandpass:
         )
 
     def test_rejects_invalid_band(self):
+        # a ValueError from the check, not a TypeError from the cache's hash
+        nan = math.nan
+        for band in [(90.0, 80.0), (80.0, 300.0), (nan, 90.0), (80.0, nan), [90, 80]]:
+            with pytest.raises(ValueError, match="band must satisfy"):
+                bandpass_taps(band, FS)
+
+
+class TestFilterCache:
+    """The band-pass taps and the Morlet bank are built once per band."""
+
+    def test_two_maps_of_one_band_build_one_bank(self, realization0, monkeypatch):
+        signal, _ = realization0
+        built = []
+        monkeypatch.setattr(
+            g.tfmap, "morlet_kernel", lambda a: built.append(a) or morlet_kernel(a)
+        )
+        g.tfmap._morlet_bank.cache_clear()
+        g.tfmap._bandpass_taps.cache_clear()
+        first = spatiotemporal_map(signal, BAND)
+        second = spatiotemporal_map(signal, BAND)
+        # rebuilt per row, 2 maps x 3 rows x 11 scales would be 66 kernels
+        assert built == list(MorletParams.for_band(BAND, FS).scales)
+        assert g.tfmap._bandpass_taps.cache_info().misses == 2
+        assert same_bits(first.values, second.values)
+
+    def test_taps_and_bank_are_read_only(self):
+        taps = bandpass_taps(BAND, FS)
+        bank = g.tfmap._morlet_bank(MorletParams.for_band(BAND, FS).scales)
         with pytest.raises(ValueError):
-            bandpass_taps((90.0, 80.0), FS)
+            taps[0] = 1.0
         with pytest.raises(ValueError):
-            bandpass_taps((80.0, 300.0), FS)
+            bank[0, 0] = 1.0
+
+    def test_integer_band_and_rate_give_the_float_taps(self):
+        g.tfmap._bandpass_taps.cache_clear()
+        taps = bandpass_taps([80, 90], 512)
+        assert same_bits(taps, bandpass_taps((80.0, 90.0), 512.0))
+        assert same_bits(taps, g.tfmap._bandpass_taps.__wrapped__(80, 90, 512))
 
 
 class TestEnvelopeSmooth:
@@ -325,10 +365,13 @@ TARGET_BANDS = [(40.0, 50.0), (50.0, 60.0), (80.0, 90.0)]
 
 
 @st.composite
-def sparse_rows(draw):
-    """Zero rows with one random-normal stretch, touching either edge or not."""
-    n = draw(st.integers(600, 8000))
-    length = draw(st.integers(1, n))
+def sparse_rows(draw, max_n=8000):
+    """Zero rows with one random-normal stretch, touching either edge or not.
+
+    The stretch is often the whole row, a dense row as a raw channel is.
+    """
+    n = draw(st.integers(600, max_n))
+    length = draw(st.one_of(st.just(n), st.integers(1, n)))
     start = draw(
         st.one_of(st.just(0), st.just(n - length), st.integers(0, n - length))
     )
@@ -396,6 +439,25 @@ class TestSupportLocalRow:
         x[1, 500] = 1.0
         with pytest.raises(ValueError, match="non-empty 1-D"):
             map_row(x, BAND, params)
+
+
+ORACLE_BANDS = [(80.0, 90.0), (40.0, 50.0), (10.0, 15.0), (1.0, 5.0)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    sparse_rows(max_n=4000),
+    st.lists(st.sampled_from(ORACLE_BANDS), min_size=2, max_size=6),
+    st.booleans(),
+)
+def test_map_row_matches_filters_built_afresh(x, bands, cold):
+    # bands drawn with repeats after an optional clear: misses and hits
+    if cold:
+        g.tfmap._bandpass_taps.cache_clear()
+        g.tfmap._morlet_bank.cache_clear()
+    for band in bands:
+        params = MorletParams.for_band(band, FS)
+        assert same_bits(map_row(x, band, params), fresh_map_row(x, band, params))
 
 
 class TestSpatioTemporalMap:

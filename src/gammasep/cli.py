@@ -165,6 +165,8 @@ def read_signal_csv(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SignalFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SignalFormatError(f"{path}: {exc}") from exc
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# rate="):
         raise SignalFormatError(f"{path}: line 1: expected '# rate=<Hz>' header")
@@ -176,13 +178,20 @@ def read_signal_csv(path):
         raise SignalFormatError(f"{path}: line 2: missing channel labels")
     labels = [lab.strip() for lab in lines[1].split(",")]
     body = [line for line in lines[2:] if line.strip()]
-    # numpy converts each str with float(), so one array call parses a
-    # well-formed body; a malformed one is parsed again line by line for
-    # the message
-    try:
-        rows = np.array([line.split(",") for line in body], dtype=np.float64)
-    except ValueError:
-        rows = None
+    # numpy's C reader parses the body in one call, converting each field
+    # with the correctly rounded routine float() uses. It also strips U+001F
+    # around a field, which float() refuses, so a text holding that
+    # character does not go to it. float() reads only a body that reader
+    # does not take, or reads to another shape, line by line; that loop
+    # also names the first wrong line.
+    rows = None
+    if body and "\x1f" not in text:
+        try:
+            rows = np.loadtxt(
+                body, delimiter=",", dtype=np.float64, ndmin=2, comments=None
+            )
+        except ValueError:
+            pass
     if rows is None or rows.shape != (len(body), len(labels)):
         rows = _parse_rows(path, lines, len(labels))
     data = rows.T

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -514,6 +515,15 @@ class TestCsvReaderPaths:
         with pytest.raises(SignalFormatError, match="line 4: expected 2 values, got 3"):
             self.read(tmp_path, HEADER + "a,b\n1.0,2.0\n1.0,2.0,3.0\n")
 
+    @pytest.mark.parametrize("labels,body,message", [
+        ("a,b", "1.0,2.0,3.0\n4.0,5.0,6.0\n", "line 3: expected 2 values, got 3"),
+        ("a,b,c", "\n1.0,2.0\n4.0,5.0\n", "line 4: expected 3 values, got 2"),
+        ("a,b", "1.0\n2.0\n", "line 3: expected 2 values, got 1"),
+    ])
+    def test_rows_of_one_wrong_width_name_the_first(self, tmp_path, labels, body, message):
+        with pytest.raises(SignalFormatError, match=message):
+            self.read(tmp_path, HEADER + labels + "\n" + body)
+
     def test_blank_lines_are_skipped_and_counted(self, tmp_path):
         body = "a,b\n\n1.0,2.0\n   \n\n3.0,4.0\n\n"
         back = self.read(tmp_path, HEADER + body)
@@ -541,6 +551,61 @@ class TestCsvReaderPaths:
         with pytest.raises(SignalFormatError, match="line 5: non-finite value"):
             self.read(tmp_path, HEADER + f"a,b\n1.0,2.0\n3.0,4.0\n5.0,{bad}\n6.0,7.0\n")
 
+    @pytest.mark.parametrize("line", [
+        "#3.0,4.0", "3.0,4.0#", "3.0 # note,4.0", '"3.0",4.0', "3.0,'4.0'",
+        # numpy's reader strips U+001F around a field; float() does not
+        "\x1f3.0,4.0", "3.0,4.0\x1f",
+    ])
+    def test_no_comment_quote_or_unit_separator_is_honoured(self, tmp_path, line):
+        with pytest.raises(SignalFormatError, match="line 4: unreadable value"):
+            self.read(tmp_path, HEADER + f"a,b\n1.0,2.0\n{line}\n5.0,6.0\n")
+
+    def test_unit_separator_alone_is_a_blank_line(self, tmp_path):
+        back = self.read(tmp_path, HEADER + "a,b\n1.0,2.0\n\x1f\n3.0,4.0\n")
+        assert np.array_equal(back.data, [[1.0, 3.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"])
+    def test_body_without_rows_is_refused_without_a_warning(self, tmp_path, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SignalFormatError, match="no sample rows"):
+                self.read(tmp_path, HEADER + "a,b\n" + body)
+
+    def test_peak_memory_of_one_read(self, tmp_path):
+        signal, _ = g.build_realization(g.SimConfig(), 0)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(path, signal)
+        read_signal_csv(path)  # a first call may import or cache
+        tracemalloc.start()
+        try:
+            back = read_signal_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.data.shape == (3, 5000)
+        assert peak < 1.5e6
+
+    def test_every_file_of_the_cli_chain_reads_as_float_reads_it(self, tmp_path):
+        config = write_config(tmp_path, {"n_realizations": 1})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out / "s")]) == EXIT_OK
+        assert main(["despike", str(out / "s" / "realization_000.csv"), "--config",
+                     config, "--out", str(out / "d")]) == EXIT_OK
+        assert main(["map", str(out / "d" / "oscillatory.csv"), "--config", config,
+                     "--out", str(out / "m")]) == EXIT_OK
+        paths = sorted(out.rglob("*.csv"))
+        assert [p.relative_to(out).as_posix() for p in paths] == [
+            "d/oscillatory.csv", "d/transient.csv", "m/map.csv", "s/realization_000.csv",
+        ]
+        for path in paths:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            labels = lines[1].split(",")
+            expected = parse_signal_body(lines[2:], len(labels))
+            back = read_signal_csv(path)
+            assert back.channel_labels == tuple(labels)
+            assert back.sample_rate_hz == float(lines[0][len("# rate="):])
+            assert same_bits(np.ascontiguousarray(back.data), expected.copy())
+
     @settings(deadline=None, max_examples=300,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -554,9 +619,9 @@ class TestCsvReaderPaths:
                         st.sampled_from([
                             " 1.5 ", "\t-2", "1_000", "+3e2", ".5", "-0.0", "5e-324",
                             "1e309", "nan", "-inf", "", " ", "xyz", "1__0", "0x10",
-                            "١٢٣", "1e",
+                            "١٢٣", "1e", "#1", "1.5#", '"2"', "\xa01.5\xa0", "1\x1f",
                         ]),
-                        st.text(alphabet="0123456789.eE+-_ na", max_size=6),
+                        st.text(alphabet="0123456789.eE+-_ na#\"\xa0\x1f", max_size=6),
                     ),
                     min_size=1, max_size=4,
                 ).map(",".join),
@@ -564,7 +629,29 @@ class TestCsvReaderPaths:
             max_size=8,
         ),
     )
+    @example(2, ["1.5,2#"])
+    @example(2, ['"1.5",2'])
+    @example(2, ["1.5,\x1f2"])
     def test_accepts_exactly_what_float_accepts(self, tmp_path, width, body):
+        self.check_against_float(tmp_path, width, body)
+
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 3), st.sampled_from([" ", "\xa0", "\x1f", '"', "'", "#"]),
+           st.data())
+    def test_wrapped_values_read_as_float_reads_them(self, tmp_path, width, wrapper, data):
+        # rows of the right width, every value a float, some with one
+        # character before or after it that a reader honouring comments or
+        # quotes, or stripping more than float() strips, would read past
+        value = st.builds(
+            lambda v, left, right: f"{wrapper * left}{v!r}{wrapper * right}",
+            st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.booleans(),
+        )
+        row = st.lists(value, min_size=width, max_size=width).map(",".join)
+        body = data.draw(st.lists(row, min_size=1, max_size=6))
+        self.check_against_float(tmp_path, width, body)
+
+    def check_against_float(self, tmp_path, width, body):
         labels = ",".join(f"ch{i + 1}" for i in range(width))
         expected = parse_signal_body(body, width)
         try:
@@ -630,6 +717,19 @@ def test_unusable_sample_exits_invalid(tmp_path, capsys, command, bad):
         assert "ch2" in err and "energy" in err and "not finite" in err
     else:
         assert "line 503: non-finite value" in err
+
+
+@pytest.mark.parametrize("command", ["map", "despike"])
+def test_signal_file_that_is_not_utf8_exits_invalid_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"# rate=512.0\na,b\n1.0,\xff\n")
+    code = main([command, str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 21: "
+        "invalid start byte"
+    ]
 
 
 @pytest.mark.parametrize("command", ["map", "despike"])

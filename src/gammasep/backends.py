@@ -1,11 +1,12 @@
 """Numeric convolution kernels shared by the wavelet and mapping chains.
 
-The circular kernel builds one wrap-padded copy of the input per call and
-accumulates the taps in ascending order, each as a product with a slice of
-that copy, so its output is reproducible to the bit. The real centered
-kernel rides ``np.convolve``. The complex one applies a bank of kernels as
-one matrix product: every output sample is the dot of the same input
-window with the same tap column, wherever the sample sits in the input.
+The circular kernel builds one wrap-padded copy of the input per call,
+multiplies it once per run of equal taps, and sums the taps' slices of that
+product in ascending tap order, from the first one plus +0.0, so its output
+is reproducible to the bit. The real centered kernel rides ``np.convolve``.
+The complex one applies a bank of kernels as one matrix product: every
+output sample is the dot of the same input window with the same tap column,
+wherever the sample sits in the input.
 """
 
 from __future__ import annotations
@@ -33,30 +34,51 @@ def circular_conv(x, taps, stride=1):
 
     ``y[i] = sum_m taps[m] * x[(i - m*stride) mod n]``
 
+    ``x`` and ``taps`` are 1-D and ``stride`` is a non-negative integer.
     The taps span ``span = (k-1)*stride`` samples. The input is copied once
     with its last ``span`` samples in front, ``xp[j] = x[(j - span) mod n]``,
     so tap m reads the slice ``xp[span - m*stride : span - m*stride + n]``.
     Taps wider than the signal (``span >= n``) wrap it more than once, and
-    the pad is then gathered modulo n. Products and sums are taken in
-    ascending tap order, starting from zeros.
+    the pad is then gathered modulo n. The copy is multiplied once per run
+    of equal taps, so a box of k equal taps costs one product pass and k
+    sums. The slices are summed in ascending tap order, starting from the
+    first one plus +0.0: every product and sum is the one that adding each
+    tap's own product to zeros would take, bit for bit, sign of zero
+    included. (Sharing a product between +0.0 and -0.0 taps changes no bit,
+    since a sum started from +0.0 is never -0.0.)
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    taps = np.ascontiguousarray(taps, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    taps = np.asarray(taps, dtype=np.float64)
+    if x.ndim != 1 or taps.ndim != 1:
+        raise ValueError(
+            f"x and taps must be 1-D, got shapes {x.shape} and {taps.shape}"
+        )
+    if (
+        not isinstance(stride, (int, np.integer))
+        or isinstance(stride, bool)
+        or stride < 0
+    ):
+        raise ValueError(f"stride must be a non-negative integer, got {stride!r}")
     stride = int(stride)
-    if stride < 0:
-        raise ValueError(f"stride must be non-negative, got {stride}")
     n = x.shape[0]
-    y = np.zeros_like(x)
-    if n == 0:
-        return y
+    if n == 0 or taps.shape[0] == 0:
+        return np.zeros_like(x)
     span = (taps.shape[0] - 1) * stride
     if span < n:
         xp = np.concatenate((x[n - span :], x))
     else:
         xp = np.take(x, np.arange(-span, n), mode="wrap")
-    for m in range(taps.shape[0]):
+    product = np.empty_like(xp)
+    previous = None
+    for m, tap in enumerate(taps.tolist()):
+        if tap != previous:
+            np.multiply(xp, tap, out=product)
+            previous = tap
         start = span - m * stride
-        y += taps[m] * xp[start : start + n]
+        if m == 0:
+            y = product[start : start + n] + 0.0
+        else:
+            y += product[start : start + n]
     return y
 
 

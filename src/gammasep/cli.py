@@ -216,10 +216,12 @@ def write_keyvalues(path, pairs):
 
 def read_manifest(path):
     """Flat key=value text back into a dict of strings."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SignalFormatError(f"{path}: {exc}") from exc
     out = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if "=" not in line:

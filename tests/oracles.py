@@ -115,8 +115,10 @@ def loop_conv(x, taps):
 def roll_conv(x, taps, stride=1):
     """Strided circular convolution as one rolled copy of x per tap.
 
-    Same ascending-tap accumulation from zeros as the kernel under test,
-    so the two agree bit for bit.
+    One product per tap, added to zeros in ascending tap order. The kernel
+    under test shares a product between equal neighbouring taps and starts
+    from the first product plus +0.0, which takes the same products and
+    sums, so the two agree bit for bit.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.zeros_like(x)

@@ -1,5 +1,7 @@
 """Tests for the convolution kernels."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 import gammasep as g
 from gammasep import backends
+from gammasep.despike import mask_geometry
+from gammasep.signal_core import ms_to_samples
 from oracles import convolve_complex, loop_conv, roll_conv, same_bits
 
 _samples = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -83,6 +87,49 @@ def test_detection_box_equals_rolled_copies_exactly(rng, n, width):
     assert same_bits(backends.circular_conv(energy, box), roll_conv(energy, box))
 
 
+@st.composite
+def tap_run_problems(draw):
+    # taps as runs of repeated values, so products are shared; neighbouring
+    # runs of +0.0 and -0.0 (which may share), or of v and -v or of v and
+    # the next float (which may not), and signed zeros in the input, which
+    # test the +0.0 start
+    near = [0.0, -0.0, 1.5, -1.5, float(np.nextafter(1.5, 2.0))]
+    values = st.one_of(st.sampled_from(near), _samples)
+    runs = draw(st.lists(
+        st.tuples(values, st.integers(1, 6)), min_size=1, max_size=5
+    ))
+    taps = np.array([value for value, count in runs for _ in range(count)])
+    n = draw(st.integers(1, 64))
+    signed_zeros = st.sampled_from([0.0, -0.0])
+    x = draw(arrays(np.float64, n, elements=st.one_of(signed_zeros, _samples)))
+    return x, taps, draw(st.integers(0, 48))
+
+
+@settings(deadline=None)
+@given(tap_run_problems())
+@example((np.array([-0.0, 1.0, -0.0]), np.array([2.0]), 1))
+@example((np.array([-0.0, 3.0, 0.0, -0.0]), np.array([0.0, 0.0, -0.0, 1.5, 1.5]), 1))
+@example((np.array([-2.0, 1.0, 4.0]), np.array([1.0, 1.0, 2.0, -0.0, 0.0]), 5))
+@example((np.array([1.0, 2.0, 4.0]), np.array([1.5, -1.5, -1.5]), 1))
+@example((np.array([1.0, 3.0]), np.array([1.5, np.nextafter(1.5, 2.0)]), 1))
+def test_shared_products_equal_rolled_copies_exactly(problem):
+    x, taps, stride = problem
+    assert same_bits(
+        backends.circular_conv(x, taps, stride), roll_conv(x, taps, stride)
+    )
+
+
+@pytest.mark.parametrize("n", [5000, 30720])
+@pytest.mark.parametrize("freq_hz", [45.0, 55.0, 85.0, 70.0])
+def test_every_detection_box_width_equals_rolled_copies_exactly(rng, n, freq_hz):
+    # the widths despike's detector smooths with at 512 Hz: the 45/55/85 Hz
+    # table (102, 92 and 77 taps) and the 9-cycle default (66 at 70 Hz)
+    width = ms_to_samples(mask_geometry(freq_hz)[0], 512.0)
+    box = np.full(width, 1.0 / width)
+    for energy in (rng.standard_normal(n) ** 2, half_silent(rng, n) ** 2):
+        assert same_bits(backends.circular_conv(energy, box), roll_conv(energy, box))
+
+
 def test_circular_conv_of_empty_input_is_empty():
     y = backends.circular_conv(np.zeros(0), np.ones(8), 4)
     assert y.shape == (0,)
@@ -116,9 +163,38 @@ def test_circular_conv_leaves_its_input_alone(rng):
         assert np.array_equal(x, before)
 
 
+def test_circular_conv_of_empty_taps_is_zeros():
+    y = backends.circular_conv(np.arange(5.0), np.zeros(0), 2)
+    assert same_bits(y, np.zeros(5))
+
+
 def test_circular_conv_rejects_negative_stride():
     with pytest.raises(ValueError, match="stride"):
         backends.circular_conv(np.ones(8), np.ones(2), -1)
+
+
+@pytest.mark.parametrize("stride", [1.5, 2.0, True, np.int64(-2)])
+def test_circular_conv_names_a_stride_that_is_not_a_count(stride):
+    with pytest.raises(ValueError, match=f"stride .* got {re.escape(repr(stride))}"):
+        backends.circular_conv(np.ones(8), np.ones(2), stride)
+
+
+def test_circular_conv_accepts_numpy_integer_strides(rng):
+    x = rng.standard_normal(16)
+    taps = rng.standard_normal(3)
+    for stride in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert same_bits(
+            backends.circular_conv(x, taps, stride), backends.circular_conv(x, taps, 3)
+        )
+
+
+@pytest.mark.parametrize(
+    "x, taps",
+    [(np.ones((2, 8)), np.ones(2)), (np.ones(8), np.ones((2, 2))), (1.0, np.ones(2))],
+)
+def test_circular_conv_rejects_input_that_is_not_1d(x, taps):
+    with pytest.raises(ValueError, match="1-D"):
+        backends.circular_conv(x, taps)
 
 
 def test_centered_conv_is_zero_phase_for_symmetric_taps(rng):

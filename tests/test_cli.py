@@ -732,6 +732,17 @@ def test_signal_file_that_is_not_utf8_exits_invalid_naming_it(tmp_path, capsys, 
     ]
 
 
+def test_manifest_that_is_not_utf8_is_refused_naming_it(tmp_path):
+    path = tmp_path / "bad.manifest"
+    path.write_bytes(b"realization=0\nch1.burst_freq_hz=\xff\n")
+    with pytest.raises(SignalFormatError) as info:
+        read_manifest(path)
+    assert str(info.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position 32: "
+        "invalid start byte"
+    )
+
+
 @pytest.mark.parametrize("command", ["map", "despike"])
 @pytest.mark.parametrize("rate", ["inf", "nan"])
 def test_non_finite_rate_exits_invalid_naming_the_file(tmp_path, capsys, command, rate):

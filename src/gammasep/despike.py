@@ -130,13 +130,18 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
             f"levels the coefficients cover; the lowest target they reach is "
             f"{sample_rate_hz / 2 ** (coeffs.levels + 1)} Hz"
         )
-    energy = np.zeros(coeffs.n_samples)
-    width = min(width, coeffs.n_samples)
+    n = coeffs.n_samples
+    energy = np.zeros(n)
+    width = min(width, n)
     # an overflow is reported below as a ValueError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for level in scales:
             d = coeffs.details[level - 1]
-            energy += np.roll(d * d, -analysis_advance(filter_length, level))
+            square = d * d
+            # energy[i] += square[(i + advance) mod n], without a rolled copy
+            advance = analysis_advance(filter_length, level) % max(n, 1)
+            energy[: n - advance] += square[advance:]
+            energy[n - advance :] += square[:advance]
         smoothed = circular_conv(energy, np.full(width, 1.0 / width))
     smoothed = np.roll(smoothed, -((width - 1) // 2))
     peak = smoothed.max()

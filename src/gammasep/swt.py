@@ -167,19 +167,25 @@ def swt_decompose(x, filters, levels):
 def iswt_reconstruct(coeffs, filters):
     """Invert :func:`swt_decompose` from the deepest approximation and details.
 
-    Each level averages the two synthesis convolutions and rolls back the
+    Each level averages the two synthesis convolutions and rotates back the
     filter delay, so unmodified coefficients reproduce the input to rounding.
+    The second convolution is added into the first in place, and half of
+    the sum is written, rotated, straight into the next level's array: the
+    same products and sums as ``0.5 * np.roll(lo + hi, -delay)``.
     """
     if not isinstance(coeffs, WaveletCoefficients):
         raise ValueError("coeffs must be WaveletCoefficients")
     taps_len = filters.length
     a = coeffs.approximation
+    n = a.size
     for j in range(coeffs.levels, 0, -1):
         stride = 2 ** (j - 1)
-        mixed = circular_conv(a, filters.rec_lo, stride) + circular_conv(
-            coeffs.details[j - 1], filters.rec_hi, stride
-        )
-        a = 0.5 * np.roll(mixed, -(taps_len - 1) * stride)
+        mixed = circular_conv(a, filters.rec_lo, stride)
+        mixed += circular_conv(coeffs.details[j - 1], filters.rec_hi, stride)
+        delay = (taps_len - 1) * stride % max(n, 1)
+        a = np.empty(n)
+        np.multiply(mixed[delay:], 0.5, out=a[: n - delay])
+        np.multiply(mixed[:delay], 0.5, out=a[n - delay :])
     return a
 
 

@@ -24,15 +24,31 @@ low-band peak), and RAMP_FRACTION of that is band peak / low-band peak. A
 channel crosses once its band energy has climbed to its plateau against
 the undiminished divisor.
 
-A row is computed only on its input's non-zero support, widened on each
-side by the summed spans of the chain's filters (band-pass, longest Morlet
-kernel, smoother), and is exact zeros elsewhere. That crop is exact, not an
-approximation: every output that depends on a non-zero sample is the same
-convolution sum over the same operands, the moving average's
-cumulative sum over the zeros left out adds exact +0.0, and the peak
-low-band energy that sets the divisor floor is unchanged, so the full-row
-chain yields exact zeros outside the crop as well. A despiked channel is
-zero away from its burst, so most of its row is never filtered.
+A row is computed only near its input's non-zero support [a, b), and is
+exact zeros elsewhere. Each stage runs on its own input's support, widened
+by that stage's own span and clipped at the row edges; with h the band-pass
+half-span (169 samples at 512 Hz) and R the longest Morlet kernel's radius:
+
+- The band-pass runs on [a - 2h, b + 2h) and keeps [a - h, b + h). Each
+  kept output is then the same full `np.convolve` dot as on the whole row
+  (or the same edge-truncated one where the crop meets a row edge), and
+  nothing outside [a - h, b + h) depends on a non-zero sample.
+- The Morlet bank runs on the kept band-pass output, zero-extended by R.
+  `centered_conv_complex` computes a response alike wherever the sample
+  sits, and its zero padding stands in for the band-pass zeros.
+- The smoother and `normalize_by_low_band` run on one range: the bank's
+  widened by SMOOTH_WIDTH - 1, and at least [a - 2h, b + 2h). It holds
+  every smoothed sample that a non-zero energy reaches together with its
+  whole averaging window, so each keeps the whole row's divisor count,
+  and the low band-pass gets the input it needs for full dots on
+  [a - h, b + h). The low-band energy is then exact on its whole reach,
+  and so is its peak, which sets the divisor floor.
+
+The cumulative sum over the zeros left out adds exact +0.0, and a zero
+left out would have stayed a zero (of either sign, which `|r|**2` and
+`low * low` make +0.0), so the map is bit-identical to running the chain
+over the whole row. A despiked channel is zero away from its burst, so
+most of its row is never filtered.
 
 None of the chain's filters depends on the row: the band's taps, the
 10-15 Hz taps and the Morlet bank are each built once per band and sample
@@ -119,11 +135,15 @@ class MorletParams:
     scales: tuple
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError(
+                f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}"
+            )
         scales = tuple(float(a) for a in self.scales)
-        if not scales or any(a <= 0 for a in scales):
-            raise ValueError("scales must be a non-empty list of positive reals")
+        if not scales or not all(0 < a < math.inf for a in scales):
+            raise ValueError(
+                f"scales must be a non-empty list of finite positive reals, got {scales}"
+            )
         object.__setattr__(self, "scales", scales)
 
     @classmethod
@@ -305,6 +325,8 @@ class SpatioTemporalMap:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("values must be 2-D (channels x samples)")
+        if values.size == 0:
+            raise ValueError(f"map values must not be empty, got shape {values.shape}")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValueError("map values must be finite and non-negative")
         labels = tuple(str(lab) for lab in self.channel_labels)
@@ -319,62 +341,62 @@ class SpatioTemporalMap:
         object.__setattr__(self, "band_hz", tuple(float(b) for b in self.band_hz))
 
 
-def _map_reach(params):
-    """Samples past a row's non-zero support that the map chain can touch.
+def _row_crop(x, band_hz, params):
+    """The map chain on one row's support: (start, values), zeros elsewhere.
 
-    Every filter counts at its full span (length - 1 for the convolutions,
-    SMOOTH_WIDTH for the moving average). The band path is the band-pass,
-    the longest Morlet kernel and the smoother; the low-band path is the
-    band-pass and the smoother. Both band-passes have `_bandpass_length`
-    taps, so the band path reaches further: 658 samples for 80-90 Hz and
-    722 for 40-50 Hz at 512 Hz.
+    The stages run on the ranges set out in the module docstring. An
+    all-zero row gives (0, an empty array).
     """
-    bandpass_span = _bandpass_length(params.sample_rate_hz) - 1
-    morlet_span = 2 * _morlet_radius(max(params.scales))
-    return bandpass_span + morlet_span + SMOOTH_WIDTH
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"map row must be a non-empty 1-D sequence, got shape {x.shape}")
+    support = np.flatnonzero(x)
+    if support.size == 0:
+        return 0, np.zeros(0)
+    n = x.size
+
+    def widen(lo, hi, by):
+        return max(lo - by, 0), min(hi + by, n)
+
+    rate = params.sample_rate_hz
+    half = _bandpass_length(rate) // 2
+    first, stop = int(support[0]), int(support[-1]) + 1
+    in_lo, in_hi = widen(first, stop, 2 * half)
+    bp_lo, bp_hi = widen(first, stop, half)
+    bank_lo, bank_hi = widen(bp_lo, bp_hi, _morlet_radius(max(params.scales)))
+    lo, hi = widen(bank_lo, bank_hi, SMOOTH_WIDTH - 1)
+    lo, hi = min(lo, in_lo), max(hi, in_hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        filtered = np.zeros(bank_hi - bank_lo)
+        filtered[bp_lo - bank_lo : bp_hi - bank_lo] = bandpass(
+            x[in_lo:in_hi], band_hz, rate
+        )[bp_lo - in_lo : bp_hi - in_lo]
+        response = morlet_transform(filtered, params)
+        band_energy = np.zeros(hi - lo)
+        band_energy[bank_lo - lo : bank_hi - lo] = np.mean(np.abs(response) ** 2, axis=0)
+        smoothed = envelope_smooth(band_energy, SMOOTH_WIDTH)
+    if not np.isfinite(smoothed).all():
+        raise ValueError("band energy is not finite; check the input scale")
+    return lo, normalize_by_low_band(smoothed, x[lo:hi], rate)
 
 
 def map_row(x, band_hz, params):
     """Single-channel version of the map chain; returns one row.
 
-    The chain runs only on the window [first non-zero - reach, last
-    non-zero + 1 + reach), clipped to the row, where reach is the summed
-    span of the chain's filters (`_map_reach`); every other sample is an
-    exact zero. A despiked channel is zero away from its burst, so most of
-    its row is never filtered; a raw channel's window is the whole row.
-
-    The result is bit-identical to running the chain over the whole row.
-    Within the window every output that depends on a non-zero input is the
-    same sum over the same operands (an `np.convolve` dot for the band-pass,
-    a bank product row for the Morlet kernels, which `centered_conv_complex`
-    computes alike wherever the sample sits), and the
-    moving average's cumulative sum over the zeros cut off in front adds
-    exact +0.0. The peak low-band energy, which sets the divisor floor, is
-    therefore the same, and outside the window the full-row chain yields
-    exact zeros too. An all-zero row maps to zeros.
+    Each stage runs only near the row's non-zero support, widened by its
+    own span (see the module docstring), and every other sample is an exact
+    zero. A despiked channel is zero away from its burst, so most of its
+    row is never filtered; a raw channel's stages run on the whole row. The
+    result is bit-identical to running the chain over the whole row. An
+    all-zero row maps to zeros.
 
     Raises ValueError for empty or non-1-D input, and when the band energy
     or the low-band energy overflows.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"map row must be a non-empty 1-D sequence, got shape {x.shape}")
+    start, values = _row_crop(x, band_hz, params)
     row = np.zeros_like(x)
-    support = np.flatnonzero(x)
-    if support.size == 0:
-        return row
-    reach = _map_reach(params)
-    lo = max(int(support[0]) - reach, 0)
-    hi = min(int(support[-1]) + 1 + reach, x.size)
-    window = x[lo:hi]
-    with np.errstate(over="ignore", invalid="ignore"):
-        filtered = bandpass(window, band_hz, params.sample_rate_hz)
-        response = morlet_transform(filtered, params)
-        band_energy = np.mean(np.abs(response) ** 2, axis=0)
-        smoothed = envelope_smooth(band_energy, SMOOTH_WIDTH)
-    if not np.isfinite(smoothed).all():
-        raise ValueError("band energy is not finite; check the input scale")
-    row[lo:hi] = normalize_by_low_band(smoothed, window, params.sample_rate_hz)
+    row[start : start + values.size] = values
     return row
 
 
@@ -382,21 +404,26 @@ def spatiotemporal_map(signal, band_hz):
     """Normalized band-energy map of every channel of a signal.
 
     Every row is `map_row` with `MorletParams.for_band`: scales at 1 Hz
-    pseudo-frequency spacing over the band. A channel whose energy
-    overflows raises ValueError prefixed with its label.
+    pseudo-frequency spacing over the band. Each row's crop is written
+    straight into one zero array of the signal's shape. A signal with no
+    channel raises ValueError, and so does a channel whose energy
+    overflows, prefixed with its label.
     """
     low, high = band_hz
     if not 0 < low < high < signal.sample_rate_hz / 2.0:
         raise ValueError(f"band {band_hz} outside (0, Nyquist)")
+    if signal.n_channels == 0:
+        raise ValueError("signal has no channel to map")
     params = MorletParams.for_band(band_hz, signal.sample_rate_hz)
-    rows = []
+    values = np.zeros(signal.data.shape)
     for ch in range(signal.n_channels):
         try:
-            rows.append(map_row(signal.data[ch], band_hz, params))
+            start, crop = _row_crop(signal.data[ch], band_hz, params)
         except ValueError as exc:
             raise ValueError(f"{signal.channel_labels[ch]}: {exc}") from None
+        values[ch, start : start + crop.size] = crop
     return SpatioTemporalMap(
-        values=np.vstack(rows),
+        values=values,
         band_hz=(float(low), float(high)),
         channel_labels=signal.channel_labels,
         sample_rate_hz=signal.sample_rate_hz,
@@ -436,6 +463,57 @@ def _first_sustained_runs(above, run_length):
     return np.where(full.any(axis=1), full.argmax(axis=1), -1)
 
 
+def _row_supports(values):
+    """Per row, the range [first, stop) spanning its non-zero samples.
+
+    One comparison sweeps the map; each row's first and last non-zero then
+    come from an argmax of its flags and of their reverse. A zero row gets
+    stop == first.
+    """
+    nonzero = values != 0.0
+    first = nonzero.argmax(axis=1)
+    stop = values.shape[1] - nonzero[:, ::-1].argmax(axis=1)
+    empty = ~nonzero[np.arange(values.shape[0]), first]
+    stop[empty] = first[empty]
+    return first, stop
+
+
+def _sparse_buildup(values, first, stop, horizon):
+    """`detect_buildup` on a map that is mostly exact zeros, read from the supports.
+
+    The median and the MAD are 0, so the threshold is RAMP_FRACTION of the
+    peak. No zero exceeds it, so the peak, the runs and the channel set
+    are all read from each row's [first, stop).
+    """
+    segments = {
+        r: values[r, first[r] : stop[r]]
+        for r in range(values.shape[0])
+        if stop[r] > first[r]
+    }
+    peak = max((float(seg.max()) for seg in segments.values()), default=0.0)
+    # the dense path's threshold at median 0
+    threshold = RAMP_FRACTION * peak
+    above = {r: seg > threshold for r, seg in segments.items()}
+    runs = {
+        r: int(_first_sustained_runs(flags[None, :], RUN_LENGTH)[0])
+        for r, flags in above.items()
+    }
+    starts = [first[r] + run for r, run in runs.items() if run >= 0]
+    if not starts:
+        return BuildupDetection(
+            channel_indices=frozenset(), onset_sample=-1, peak_energy=peak
+        )
+    onset = int(min(starts)) + RUN_LENGTH - 1
+    channels = frozenset(
+        r
+        for r, flags in above.items()
+        if np.any(flags[max(onset - first[r], 0) : max(onset + horizon - first[r], 0)])
+    )
+    return BuildupDetection(
+        channel_indices=channels, onset_sample=onset, peak_energy=peak
+    )
+
+
 def detect_buildup(energy_map):
     """Threshold the map and report the first sustained build-up.
 
@@ -450,6 +528,12 @@ def detect_buildup(energy_map):
     more than half of the map is exact zeros, the median and the MAD are
     both 0 by definition and are not computed.
 
+    Each row's first and last non-zero sample are found in one pass. When
+    twice their summed spans is below the map size, a strict majority of
+    the map is exact zeros, and the peak, the runs and the channel set are
+    read from those spans alone (a despiked map is a few percent non-zero).
+    Otherwise, as for a raw map, every sample is swept.
+
     A sample counts as above the threshold only if strictly greater. The
     onset is the sample at which some channel has stayed above the
     threshold for 64 consecutive samples; the channel set collects every
@@ -457,6 +541,10 @@ def detect_buildup(energy_map):
     which no channel sustains a crossing yields an empty detection.
     """
     values = energy_map.values
+    horizon = ms_to_samples(CHANNEL_WINDOW_MS, energy_map.sample_rate_hz)
+    first, stop = _row_supports(values)
+    if 2 * int(np.sum(stop - first)) < values.size:
+        return _sparse_buildup(values, first, stop, horizon)
     peak = float(values.max())
     if 2 * (values.size - np.count_nonzero(values)) > values.size:
         # a strict majority of exact zeros holds both middle order
@@ -478,7 +566,6 @@ def detect_buildup(energy_map):
             channel_indices=frozenset(), onset_sample=-1, peak_energy=peak
         )
     onset = int(starts.min()) + RUN_LENGTH - 1
-    horizon = ms_to_samples(CHANNEL_WINDOW_MS, energy_map.sample_rate_hz)
     window = slice(onset, min(onset + horizon, values.shape[1]))
     channels = frozenset(
         ch for ch in range(values.shape[0]) if np.any(above[ch, window])

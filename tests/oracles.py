@@ -291,12 +291,12 @@ def full_map_row(x, band_hz, params):
 
 
 def fresh_map_row(x, band_hz, params):
-    """map_row with its band-pass taps and Morlet bank rebuilt on every call.
+    """The map chain over the whole row, its filters rebuilt on every call.
 
     The taps come from the builder behind `tfmap.bandpass_taps`'s cache, and
     the bank is one `morlet_kernel` per scale centered in the longest; the
-    crop, the smoother and the floored divisor are written out as map_row
-    applies them.
+    smoother and the floored divisor are written out as map_row applies
+    them.
     """
     from gammasep.backends import centered_conv, centered_conv_complex
     from gammasep.tfmap import (
@@ -304,7 +304,6 @@ def fresh_map_row(x, band_hz, params):
         RAMP_FRACTION,
         SMOOTH_WIDTH,
         _bandpass_taps,
-        _map_reach,
         _morlet_radius,
         envelope_smooth,
         morlet_kernel,
@@ -324,20 +323,13 @@ def fresh_map_row(x, band_hz, params):
         row[pad:pad + kernel.size] = kernel
 
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    support = np.flatnonzero(x)
-    if support.size == 0:
-        return out
-    reach = _map_reach(params)
-    lo = max(int(support[0]) - reach, 0)
-    hi = min(int(support[-1]) + 1 + reach, x.size)
-    window = x[lo:hi]
-    response = centered_conv_complex(centered_conv(window, taps(band_hz)), bank)
+    response = centered_conv_complex(centered_conv(x, taps(band_hz)), bank)
     band_energy = envelope_smooth(np.mean(np.abs(response) ** 2, axis=0), SMOOTH_WIDTH)
-    low = centered_conv(window, taps(LOW_BAND_HZ))
+    low = centered_conv(x, taps(LOW_BAND_HZ))
     low_energy = envelope_smooth(low * low, SMOOTH_WIDTH)
     denom = np.maximum(low_energy, RAMP_FRACTION * np.max(low_energy))
-    np.divide(band_energy, denom, out=out[lo:hi], where=denom > 0.0)
+    out = np.zeros_like(x)
+    np.divide(band_energy, denom, out=out, where=denom > 0.0)
     return out
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import gammasep as g
 from gammasep.tfmap import (
+    K_SIGMA,
     LOW_BAND_HZ,
     RAMP_FRACTION,
     RUN_LENGTH,
@@ -32,7 +34,7 @@ from gammasep.tfmap import (
     scales_for_band,
     spatiotemporal_map,
     _first_sustained_runs,
-    _map_reach,
+    _row_supports,
 )
 from gammasep.simulate import NOISE_EXPONENT
 from frozen import NOISE_MAP_MAX_OVER_MEDIAN
@@ -90,6 +92,13 @@ class TestMorletParams:
             MorletParams(sample_rate_hz=FS, scales=(-1.0,))
         with pytest.raises(ValueError):
             MorletParams(sample_rate_hz=0.0, scales=(1.0,))
+        with pytest.raises(ValueError, match="scales must be"):
+            MorletParams(sample_rate_hz=FS, scales=(math.nan,))
+        with pytest.raises(ValueError, match="scales must be"):
+            MorletParams(sample_rate_hz=FS, scales=(2.0, math.inf))
+        for rate in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="sample_rate_hz must be"):
+                MorletParams(sample_rate_hz=rate, scales=(1.0,))
 
 
 class TestMorletKernel:
@@ -364,44 +373,94 @@ class TestMapRow:
 TARGET_BANDS = [(40.0, 50.0), (50.0, 60.0), (80.0, 90.0)]
 
 
+# farther than any stage of the map chain reaches from a non-zero sample at
+# 512 Hz in TARGET_BANDS (the summed spans, 722 for 40-50 Hz), on both sides
+FAR_APART = 2 * 722 + 1
+
+
+@st.composite
+def stretch(draw, n):
+    """(start, length) of a stretch in a row of n samples.
+
+    Often the whole row (a dense row, as a raw channel is), a single
+    sample, or within one filter span of either edge.
+    """
+    length = draw(st.one_of(st.just(n), st.just(1), st.integers(1, n)))
+    room = n - length
+    near = st.integers(0, min(room, 722))
+    start = draw(
+        st.one_of(
+            st.just(0),
+            st.just(room),
+            near,
+            near.map(lambda gap: room - gap),
+            st.integers(0, room),
+        )
+    )
+    return start, length
+
+
 @st.composite
 def sparse_rows(draw, max_n=8000):
-    """Zero rows with one random-normal stretch, touching either edge or not.
+    """Zero rows with one or two random-normal stretches.
 
-    The stretch is often the whole row, a dense row as a raw channel is.
+    Rows run from one sample, shorter than the band-pass's taps, to max_n.
+    A second stretch sits anywhere, or FAR_APART past the first.
     """
-    n = draw(st.integers(600, max_n))
-    length = draw(st.one_of(st.just(n), st.integers(1, n)))
-    start = draw(
-        st.one_of(st.just(0), st.just(n - length), st.integers(0, n - length))
-    )
+    n = draw(st.one_of(st.integers(1, 338), st.integers(339, max_n)))
+    stretches = [draw(stretch(n))]
+    if draw(st.booleans()):
+        start, length = stretches[0]
+        after = start + length + FAR_APART
+        if draw(st.booleans()) and after < n:
+            stretches.append(draw(stretch(n - after)))
+            stretches[-1] = (after + stretches[-1][0], stretches[-1][1])
+        else:
+            stretches.append(draw(stretch(n)))
     amplitude = 10.0 ** draw(st.floats(-6.0, 6.0))
-    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = np.zeros(n)
-    x[start:start + length] = (
-        amplitude * np.random.default_rng(seed).standard_normal(length)
-    )
+    for start, length in stretches:
+        x[start:start + length] = amplitude * rng.standard_normal(length)
     return x
 
 
 class TestSupportLocalRow:
     """map_row filters only near the non-zero support, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "band, reach", zip(TARGET_BANDS, [722, 696, 658])
-    )
-    def test_reach_sums_the_filter_spans(self, band, reach):
-        params = MorletParams.for_band(band, FS)
-        longest = max(morlet_kernel(a).size for a in params.scales)
-        band_path = bandpass_taps(band, FS).size - 1 + longest - 1 + SMOOTH_WIDTH
-        low_path = bandpass_taps(LOW_BAND_HZ, FS).size - 1 + SMOOTH_WIDTH
-        assert _map_reach(params) == max(band_path, low_path) == reach
-
     @settings(deadline=None, max_examples=100)
     @given(sparse_rows(), st.sampled_from(TARGET_BANDS))
     def test_matches_the_full_row(self, x, band):
         params = MorletParams.for_band(band, FS)
         assert same_bits(map_row(x, band, params), full_map_row(x, band, params))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(3000, 6000),
+        st.integers(2, 300),
+        st.sampled_from(["noise", "low tone", "constant"]),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_full_row_when_the_band_pass_outreaches_the_rest(
+        self, n, length, kind, where, seed
+    ):
+        """At 4096 Hz half the band-pass (1352 samples) is longer than the
+        longest 80-90 Hz kernel's radius plus the smoother's span (512), so
+        the low band-pass's own input range sets the normalization's. Short
+        stretches keep the low-band energy there above the divisor floor."""
+        fs = 8 * FS
+        start = int(where * (n - length))
+        t = np.arange(length)
+        stretch = {
+            "noise": np.random.default_rng(seed).standard_normal(length),
+            "low tone": np.cos(2.0 * np.pi * 12.5 * t / fs),
+            "constant": np.ones(length),
+        }[kind]
+        x = np.zeros(n)
+        x[start:start + length] = stretch
+        params = MorletParams.for_band(BAND, fs)
+        assert same_bits(map_row(x, BAND, params), full_map_row(x, BAND, params))
 
     @pytest.mark.parametrize("band", TARGET_BANDS)
     @pytest.mark.parametrize("index", [0, 1, 2])
@@ -485,6 +544,23 @@ class TestSpatioTemporalMap:
         )
         with pytest.raises(ValueError, match="^ch2: band energy is not finite"):
             spatiotemporal_map(signal, BAND)
+
+    def test_rejects_a_signal_with_no_channel(self):
+        signal = g.MultiChannelSignal(
+            sample_rate_hz=FS, channel_labels=(), data=np.zeros((0, 5000))
+        )
+        with pytest.raises(ValueError, match="no channel"):
+            spatiotemporal_map(signal, BAND)
+
+    @pytest.mark.parametrize("shape", [(0, 100), (3, 0), (0, 0)])
+    def test_container_rejects_empty_values(self, shape):
+        with pytest.raises(ValueError, match=rf"empty, got shape \({shape[0]}, {shape[1]}\)"):
+            SpatioTemporalMap(
+                values=np.zeros(shape),
+                band_hz=BAND,
+                channel_labels=tuple(f"ch{i}" for i in range(shape[0])),
+                sample_rate_hz=FS,
+            )
 
     def test_rejects_band_beyond_nyquist(self, realization0):
         signal, _ = realization0
@@ -590,7 +666,70 @@ def as_map(values):
     )
 
 
+@st.composite
+def supported_maps(draw):
+    """Maps whose rows are zero outside one stretch each.
+
+    The zeros outside the stretches number anything, or half the map or
+    one either side of it; a row can be all zeros or dense, and a stretch
+    can touch either edge. Inside, the values are positive, on a scale of
+    their own per row (within a factor of 10), sometimes with exact zeros
+    between the ends, and shaped so that runs of RUN_LENGTH over the
+    threshold are common but not certain.
+    """
+    rows = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(1, 700), st.integers(4 * RUN_LENGTH, 700)))
+    size = rows * n
+    near_half = [size // 2 - 1, size // 2, (size + 1) // 2, (size + 1) // 2 + 1]
+    zeros = draw(
+        st.one_of(
+            st.integers(0, size),
+            st.integers(size // 2, size),
+            st.sampled_from(near_half),
+        )
+    )
+    total = size - min(max(zeros, 0), size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros((rows, n))
+    order = rng.permutation(rows)
+    for i, r in enumerate(order):
+        # leave no more than the rows still to fill can hold
+        length = int(rng.integers(max(0, total - n * (rows - 1 - i)), min(n, total) + 1))
+        total -= length
+        if length == 0:
+            continue
+        start = int(rng.choice([0, n - length, rng.integers(0, n - length + 1)]))
+        if rng.random() < 0.5:
+            stretch = rng.uniform(0.05, 1.0, length) ** rng.choice([0.25, 1.0, 4.0])
+        else:
+            stretch = np.minimum(np.arange(1.0, length + 1.0), rng.integers(1, 200))
+        if length > 2 and rng.random() < 0.3:
+            stretch[1:-1][rng.random(length - 2) < 0.3] = 0.0
+        values[r, start:start + length] = stretch * 10.0 ** rng.uniform(-1.0, 1.0)
+    return values
+
+
 class TestDetectBuildup:
+    @settings(deadline=None, max_examples=300)
+    @given(supported_maps())
+    def test_support_path_matches_the_median_oracle(self, values):
+        spans = [np.flatnonzero(row) for row in values]
+        first, stop = _row_supports(values)
+        assert [(f, s) for f, s, span in zip(first, stop, spans) if span.size] == [
+            (span[0], span[-1] + 1) for span in spans if span.size
+        ]
+        assert all(f == s for f, s, span in zip(first, stop, spans) if not span.size)
+        sparse = 2 * int(np.sum(stop - first)) < values.size
+        with mock.patch.object(
+            g.tfmap, "_sparse_buildup", wraps=g.tfmap._sparse_buildup
+        ) as spy:
+            detection = detect_buildup(as_map(values))
+        assert spy.called == sparse
+        _, onset, channels, peak = median_buildup(values, K_SIGMA, FS)
+        assert detection.onset_sample == onset
+        assert detection.channel_indices == channels
+        assert detection.peak_energy == peak
+
     def test_zero_map_detects_nothing(self):
         detection = detect_buildup(as_map(np.zeros((3, 1000))))
         assert not detection.detected

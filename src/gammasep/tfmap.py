@@ -341,18 +341,27 @@ class SpatioTemporalMap:
         object.__setattr__(self, "band_hz", tuple(float(b) for b in self.band_hz))
 
 
-def _row_crop(x, band_hz, params):
-    """The map chain on one row's support: (start, values), zeros elsewhere.
+def map_row(x, band_hz, params):
+    """Single-channel version of the map chain; returns one row.
 
-    The stages run on the ranges set out in the module docstring. An
-    all-zero row gives (0, an empty array).
+    Each stage runs only near the row's non-zero support, widened by its
+    own span (see the module docstring), and every other sample is an exact
+    zero. A despiked channel is zero away from its burst, so most of its
+    row is never filtered; a raw channel's stages run on the whole row. The
+    result is bit-identical to running the chain over the whole row. An
+    all-zero row maps to zeros.
+
+    Raises ValueError for empty or non-1-D input, and when the band energy
+    or the low-band energy overflows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"map row must be a non-empty 1-D sequence, got shape {x.shape}")
-    support = np.flatnonzero(x)
-    if support.size == 0:
-        return 0, np.zeros(0)
+    row = np.zeros_like(x)
+    first, stop, _ = _row_supports(x[None, :])
+    first, stop = int(first[0]), int(stop[0])
+    if stop == first:
+        return row
     n = x.size
 
     def widen(lo, hi, by):
@@ -360,7 +369,6 @@ def _row_crop(x, band_hz, params):
 
     rate = params.sample_rate_hz
     half = _bandpass_length(rate) // 2
-    first, stop = int(support[0]), int(support[-1]) + 1
     in_lo, in_hi = widen(first, stop, 2 * half)
     bp_lo, bp_hi = widen(first, stop, half)
     bank_lo, bank_hi = widen(bp_lo, bp_hi, _morlet_radius(max(params.scales)))
@@ -377,26 +385,7 @@ def _row_crop(x, band_hz, params):
         smoothed = envelope_smooth(band_energy, SMOOTH_WIDTH)
     if not np.isfinite(smoothed).all():
         raise ValueError("band energy is not finite; check the input scale")
-    return lo, normalize_by_low_band(smoothed, x[lo:hi], rate)
-
-
-def map_row(x, band_hz, params):
-    """Single-channel version of the map chain; returns one row.
-
-    Each stage runs only near the row's non-zero support, widened by its
-    own span (see the module docstring), and every other sample is an exact
-    zero. A despiked channel is zero away from its burst, so most of its
-    row is never filtered; a raw channel's stages run on the whole row. The
-    result is bit-identical to running the chain over the whole row. An
-    all-zero row maps to zeros.
-
-    Raises ValueError for empty or non-1-D input, and when the band energy
-    or the low-band energy overflows.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    start, values = _row_crop(x, band_hz, params)
-    row = np.zeros_like(x)
-    row[start : start + values.size] = values
+    row[lo:hi] = normalize_by_low_band(smoothed, x[lo:hi], rate)
     return row
 
 
@@ -404,10 +393,9 @@ def spatiotemporal_map(signal, band_hz):
     """Normalized band-energy map of every channel of a signal.
 
     Every row is `map_row` with `MorletParams.for_band`: scales at 1 Hz
-    pseudo-frequency spacing over the band. Each row's crop is written
-    straight into one zero array of the signal's shape. A signal with no
-    channel raises ValueError, and so does a channel whose energy
-    overflows, prefixed with its label.
+    pseudo-frequency spacing over the band, written into one array of the
+    signal's shape. A signal with no channel raises ValueError, and so does
+    a channel whose energy overflows, prefixed with its label.
     """
     low, high = band_hz
     if not 0 < low < high < signal.sample_rate_hz / 2.0:
@@ -415,13 +403,12 @@ def spatiotemporal_map(signal, band_hz):
     if signal.n_channels == 0:
         raise ValueError("signal has no channel to map")
     params = MorletParams.for_band(band_hz, signal.sample_rate_hz)
-    values = np.zeros(signal.data.shape)
+    values = np.empty(signal.data.shape)
     for ch in range(signal.n_channels):
         try:
-            start, crop = _row_crop(signal.data[ch], band_hz, params)
+            values[ch] = map_row(signal.data[ch], band_hz, params)
         except ValueError as exc:
             raise ValueError(f"{signal.channel_labels[ch]}: {exc}") from None
-        values[ch, start : start + crop.size] = crop
     return SpatioTemporalMap(
         values=values,
         band_hz=(float(low), float(high)),
@@ -464,7 +451,8 @@ def _first_sustained_runs(above, run_length):
 
 
 def _row_supports(values):
-    """Per row, the range [first, stop) spanning its non-zero samples.
+    """Per row, the range [first, stop) spanning its non-zero samples, and
+    the map's count of non-zero samples.
 
     One comparison sweeps the map; each row's first and last non-zero then
     come from an argmax of its flags and of their reverse. A zero row gets
@@ -475,15 +463,17 @@ def _row_supports(values):
     stop = values.shape[1] - nonzero[:, ::-1].argmax(axis=1)
     empty = ~nonzero[np.arange(values.shape[0]), first]
     stop[empty] = first[empty]
-    return first, stop
+    return first, stop, int(np.count_nonzero(nonzero))
 
 
 def _sparse_buildup(values, first, stop, horizon):
     """`detect_buildup` on a map that is mostly exact zeros, read from the supports.
 
-    The median and the MAD are 0, so the threshold is RAMP_FRACTION of the
-    peak. No zero exceeds it, so the peak, the runs and the channel set
-    are all read from each row's [first, stop).
+    A strict majority of exact zeros holds both middle order statistics of
+    the map and of its deviations, so the median and the MAD are 0 and the
+    threshold is RAMP_FRACTION of the peak. No zero exceeds it, so the
+    peak, the runs and the channel set are all read from each row's
+    [first, stop).
     """
     segments = {
         r: values[r, first[r] : stop[r]]
@@ -524,14 +514,13 @@ def detect_buildup(energy_map):
     threshold is then median + RAMP_FRACTION * (peak - median): a quarter
     of the way from the median to the map peak, the level at which a
     smoothed step is detected at the step itself (see the module
-    docstring). A constant map keeps its threshold at the median. When
-    more than half of the map is exact zeros, the median and the MAD are
-    both 0 by definition and are not computed.
+    docstring). A constant map keeps its threshold at the median.
 
-    Each row's first and last non-zero sample are found in one pass. When
-    twice their summed spans is below the map size, a strict majority of
-    the map is exact zeros, and the peak, the runs and the channel set are
-    read from those spans alone (a despiked map is a few percent non-zero).
+    Each row's first and last non-zero sample, and the map's count of
+    non-zero samples, are found in one pass. When more than half of the
+    map is exact zeros, the median and the MAD are both 0 by definition and
+    are not computed, and the peak, the runs and the channel set are read
+    from the rows' spans alone (a despiked map is a few percent non-zero).
     Otherwise, as for a raw map, every sample is swept.
 
     A sample counts as above the threshold only if strictly greater. The
@@ -542,17 +531,12 @@ def detect_buildup(energy_map):
     """
     values = energy_map.values
     horizon = ms_to_samples(CHANNEL_WINDOW_MS, energy_map.sample_rate_hz)
-    first, stop = _row_supports(values)
-    if 2 * int(np.sum(stop - first)) < values.size:
+    first, stop, nonzero = _row_supports(values)
+    if 2 * (values.size - nonzero) > values.size:
         return _sparse_buildup(values, first, stop, horizon)
     peak = float(values.max())
-    if 2 * (values.size - np.count_nonzero(values)) > values.size:
-        # a strict majority of exact zeros holds both middle order
-        # statistics of the map and of its deviations: no sort needed
-        med = mad = 0.0
-    else:
-        med = float(np.median(values))
-        mad = float(np.median(np.abs(values - med)))
+    med = float(np.median(values))
+    mad = float(np.median(np.abs(values - med)))
     if mad > 0.0:
         threshold = med + K_SIGMA * mad
     else:

@@ -11,8 +11,8 @@ package's own stages, because they are the references for the crops that
 `tfmap.map_row` and `despike.separate` make, not for the stages themselves.
 `full_separate` still splits the coefficients with its own indicator
 arithmetic, so that it checks the package's mask rule instead of reusing it.
-`fresh_map_row` is the cropped row with every filter built anew on each
-call, the reference for the taps and banks that `tfmap` keeps.
+`fresh_map_row` is the whole-row chain with every filter built anew on
+each call, the reference for the taps and banks that `tfmap` keeps.
 Filters of every even length come from a rotation lattice, not from the
 Daubechies factorization: random angles give random orthonormal filters.
 The CLI's text formats have per-value references: the signal CSV formatted

@@ -714,12 +714,13 @@ class TestDetectBuildup:
     @given(supported_maps())
     def test_support_path_matches_the_median_oracle(self, values):
         spans = [np.flatnonzero(row) for row in values]
-        first, stop = _row_supports(values)
+        first, stop, nonzero = _row_supports(values)
         assert [(f, s) for f, s, span in zip(first, stop, spans) if span.size] == [
             (span[0], span[-1] + 1) for span in spans if span.size
         ]
         assert all(f == s for f, s, span in zip(first, stop, spans) if not span.size)
-        sparse = 2 * int(np.sum(stop - first)) < values.size
+        assert nonzero == sum(span.size for span in spans)
+        sparse = 2 * (values.size - nonzero) > values.size
         with mock.patch.object(
             g.tfmap, "_sparse_buildup", wraps=g.tfmap._sparse_buildup
         ) as spy:

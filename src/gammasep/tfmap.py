@@ -322,12 +322,17 @@ class SpatioTemporalMap:
     sample_rate_hz: float
 
     def __post_init__(self):
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError(
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
+            )
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("values must be 2-D (channels x samples)")
         if values.size == 0:
             raise ValueError(f"map values must not be empty, got shape {values.shape}")
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
+        # a NaN passes through min, and so fails the first comparison
+        if not (values.min() >= 0.0 and values.max() < math.inf):
             raise ValueError("map values must be finite and non-negative")
         labels = tuple(str(lab) for lab in self.channel_labels)
         if len(labels) != values.shape[0]:
@@ -434,20 +439,17 @@ class BuildupDetection:
         return bool(self.channel_indices)
 
 
-def _first_sustained_runs(above, run_length):
-    """Per row, start of the earliest run of at least run_length True; -1 if none.
+def _first_sustained_run(above, run_length):
+    """Start of the earliest run of at least run_length True in a row; -1 if none.
 
-    A run of at least run_length starts where the first window of
-    run_length samples lies wholly above, so each window is counted from
-    one cumulative sum over the whole (rows, samples) matrix.
+    Each window of run_length samples is counted from one cumulative sum
+    over the row, and the run starts at the first window wholly above; a
+    row shorter than run_length has no window.
     """
-    rows, n = above.shape
-    if n < run_length:
-        return np.full(rows, -1)
-    counts = np.zeros((rows, n + 1), dtype=np.int32)
-    np.cumsum(above, axis=1, dtype=np.int32, out=counts[:, 1:])
-    full = counts[:, run_length:] - counts[:, :-run_length] == run_length
-    return np.where(full.any(axis=1), full.argmax(axis=1), -1)
+    counts = np.zeros(above.size + 1, dtype=np.int32)
+    np.cumsum(above, dtype=np.int32, out=counts[1:])
+    full = counts[run_length:] - counts[:-run_length] == run_length
+    return int(full.argmax()) if full.any() else -1
 
 
 def _row_supports(values):
@@ -456,7 +458,8 @@ def _row_supports(values):
 
     One comparison sweeps the map; each row's first and last non-zero then
     come from an argmax of its flags and of their reverse. A zero row gets
-    stop == first.
+    stop == first. `detect_buildup` reads every above-threshold sample of a
+    map from these ranges, and `map_row` crops its stages to one of them.
     """
     nonzero = values != 0.0
     first = nonzero.argmax(axis=1)
@@ -464,44 +467,6 @@ def _row_supports(values):
     empty = ~nonzero[np.arange(values.shape[0]), first]
     stop[empty] = first[empty]
     return first, stop, int(np.count_nonzero(nonzero))
-
-
-def _sparse_buildup(values, first, stop, horizon):
-    """`detect_buildup` on a map that is mostly exact zeros, read from the supports.
-
-    A strict majority of exact zeros holds both middle order statistics of
-    the map and of its deviations, so the median and the MAD are 0 and the
-    threshold is RAMP_FRACTION of the peak. No zero exceeds it, so the
-    peak, the runs and the channel set are all read from each row's
-    [first, stop).
-    """
-    segments = {
-        r: values[r, first[r] : stop[r]]
-        for r in range(values.shape[0])
-        if stop[r] > first[r]
-    }
-    peak = max((float(seg.max()) for seg in segments.values()), default=0.0)
-    # the dense path's threshold at median 0
-    threshold = RAMP_FRACTION * peak
-    above = {r: seg > threshold for r, seg in segments.items()}
-    runs = {
-        r: int(_first_sustained_runs(flags[None, :], RUN_LENGTH)[0])
-        for r, flags in above.items()
-    }
-    starts = [first[r] + run for r, run in runs.items() if run >= 0]
-    if not starts:
-        return BuildupDetection(
-            channel_indices=frozenset(), onset_sample=-1, peak_energy=peak
-        )
-    onset = int(min(starts)) + RUN_LENGTH - 1
-    channels = frozenset(
-        r
-        for r, flags in above.items()
-        if np.any(flags[max(onset - first[r], 0) : max(onset + horizon - first[r], 0)])
-    )
-    return BuildupDetection(
-        channel_indices=channels, onset_sample=onset, peak_energy=peak
-    )
 
 
 def detect_buildup(energy_map):
@@ -518,44 +483,51 @@ def detect_buildup(energy_map):
 
     Each row's first and last non-zero sample, and the map's count of
     non-zero samples, are found in one pass. When more than half of the
-    map is exact zeros, the median and the MAD are both 0 by definition and
-    are not computed, and the peak, the runs and the channel set are read
-    from the rows' spans alone (a despiked map is a few percent non-zero).
-    Otherwise, as for a raw map, every sample is swept.
+    map is exact zeros, the median and the MAD are both 0 by definition;
+    otherwise `np.median` sorts the map for both. The threshold is never
+    below the median of a non-negative map, so no exact zero exceeds it,
+    and the peak, the runs and the channel set are read from the rows'
+    spans alone.
 
     A sample counts as above the threshold only if strictly greater. The
     onset is the sample at which some channel has stayed above the
     threshold for 64 consecutive samples; the channel set collects every
-    channel exceeding the threshold within 500 ms from the onset. A map in
-    which no channel sustains a crossing yields an empty detection.
+    channel exceeding the threshold within 500 ms from the onset, or at the
+    onset itself when 500 ms is under one sample. A map in which no channel
+    sustains a crossing yields an empty detection.
     """
     values = energy_map.values
-    horizon = ms_to_samples(CHANNEL_WINDOW_MS, energy_map.sample_rate_hz)
+    horizon = max(ms_to_samples(CHANNEL_WINDOW_MS, energy_map.sample_rate_hz), 1)
     first, stop, nonzero = _row_supports(values)
-    if 2 * (values.size - nonzero) > values.size:
-        return _sparse_buildup(values, first, stop, horizon)
-    peak = float(values.max())
-    med = float(np.median(values))
-    mad = float(np.median(np.abs(values - med)))
+    segments = {
+        r: values[r, first[r] : stop[r]]
+        for r in range(values.shape[0])
+        if stop[r] > first[r]
+    }
+    peak = max((float(seg.max()) for seg in segments.values()), default=0.0)
+    if 2 * nonzero < values.size:
+        # both middle order statistics of the map and its deviations are zeros
+        med = mad = 0.0
+    else:
+        med = float(np.median(values))
+        mad = float(np.median(np.abs(values - med)))
     if mad > 0.0:
         threshold = med + K_SIGMA * mad
     else:
         threshold = med + RAMP_FRACTION * (peak - med)
-    above = values > threshold
-
-    starts = _first_sustained_runs(above, RUN_LENGTH)
-    starts = starts[starts >= 0]
-    if starts.size == 0:
+    above = {r: seg > threshold for r, seg in segments.items()}
+    runs = {r: _first_sustained_run(flags, RUN_LENGTH) for r, flags in above.items()}
+    starts = [first[r] + run for r, run in runs.items() if run >= 0]
+    if not starts:
         return BuildupDetection(
             channel_indices=frozenset(), onset_sample=-1, peak_energy=peak
         )
-    onset = int(starts.min()) + RUN_LENGTH - 1
-    window = slice(onset, min(onset + horizon, values.shape[1]))
+    onset = int(min(starts)) + RUN_LENGTH - 1
     channels = frozenset(
-        ch for ch in range(values.shape[0]) if np.any(above[ch, window])
+        r
+        for r, flags in above.items()
+        if np.any(flags[max(onset - first[r], 0) : max(onset + horizon - first[r], 0)])
     )
     return BuildupDetection(
-        channel_indices=channels,
-        onset_sample=onset,
-        peak_energy=peak,
+        channel_indices=channels, onset_sample=onset, peak_energy=peak
     )

@@ -1,10 +1,19 @@
 """Shared fixtures for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import gammasep as g
 from gammasep.swt import FilterPair, wavelet_filters
+
+# CI keeps no example database, so a failure there prints the blob that
+# replays it with @reproduce_failure; per-test @settings inherit this
+settings.register_profile("ci", print_blob=True)
+if "CI" in os.environ:
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

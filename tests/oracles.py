@@ -393,7 +393,7 @@ def median_buildup(values, k_sigma, sample_rate_hz):
     if not starts:
         return threshold, -1, frozenset(), peak
     onset = min(starts) + RUN_LENGTH - 1
-    horizon = int(round(CHANNEL_WINDOW_MS * sample_rate_hz / 1000.0))
+    horizon = max(int(round(CHANNEL_WINDOW_MS * sample_rate_hz / 1000.0)), 1)
     channels = frozenset(
         ch for ch, row in enumerate(above) if row[onset : onset + horizon].any()
     )

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import gammasep as g
 from gammasep.tfmap import (
+    CHANNEL_WINDOW_MS,
     K_SIGMA,
     LOW_BAND_HZ,
     RAMP_FRACTION,
@@ -33,7 +33,7 @@ from gammasep.tfmap import (
     scale_for_frequency,
     scales_for_band,
     spatiotemporal_map,
-    _first_sustained_runs,
+    _first_sustained_run,
     _row_supports,
 )
 from gammasep.simulate import NOISE_EXPONENT
@@ -599,6 +599,34 @@ class TestSpatioTemporalMap:
                 sample_rate_hz=FS,
             )
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -512.0])
+    def test_container_rejects_a_rate_that_is_not_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            SpatioTemporalMap(
+                values=np.ones((1, 8)),
+                band_hz=BAND,
+                channel_labels=("a",),
+                sample_rate_hz=rate,
+            )
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_container_rejects_values_not_finite_and_non_negative(self, bad):
+        values = np.ones((2, 5))
+        values[1, 3] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SpatioTemporalMap(
+                values=values, band_hz=BAND, channel_labels=("a", "b"), sample_rate_hz=FS
+            )
+
+    def test_container_accepts_negative_zero(self):
+        energy_map = SpatioTemporalMap(
+            values=np.array([[-0.0, 1.0]]),
+            band_hz=BAND,
+            channel_labels=("a",),
+            sample_rate_hz=FS,
+        )
+        assert math.copysign(1.0, energy_map.values[0, 0]) == -1.0
+
     def test_despiked_clean_map_peaks_on_the_gamma_channel(self):
         config = g.SimConfig(snr_db=math.inf, n_realizations=2)
         signal, truth = g.build_realization(config, 0)
@@ -720,12 +748,7 @@ class TestDetectBuildup:
         ]
         assert all(f == s for f, s, span in zip(first, stop, spans) if not span.size)
         assert nonzero == sum(span.size for span in spans)
-        sparse = 2 * (values.size - nonzero) > values.size
-        with mock.patch.object(
-            g.tfmap, "_sparse_buildup", wraps=g.tfmap._sparse_buildup
-        ) as spy:
-            detection = detect_buildup(as_map(values))
-        assert spy.called == sparse
+        detection = detect_buildup(as_map(values))
         _, onset, channels, peak = median_buildup(values, K_SIGMA, FS)
         assert detection.onset_sample == onset
         assert detection.channel_indices == channels
@@ -820,6 +843,41 @@ class TestDetectBuildup:
         assert detection.channel_indices == channels
         assert detection.peak_energy == peak
 
+    def test_channel_window_holds_at_least_the_onset(self):
+        """At 1 Hz, 500 ms rounds to no sample; the window keeps the onset's."""
+        values = np.zeros((2, 400))
+        values[0, 100:200] = 5.0
+        energy_map = SpatioTemporalMap(
+            values=values, band_hz=(0.1, 0.4), channel_labels=("a", "b"), sample_rate_hz=1.0
+        )
+        detection = detect_buildup(energy_map)
+        assert detection.onset_sample == 163
+        assert detection.channel_indices == frozenset({0})
+        assert detection.detected
+
+    @pytest.mark.parametrize("kind", ["mostly_zero", "dense"])
+    @pytest.mark.parametrize("offset, inside", [(-1, True), (0, False), (50, False)])
+    def test_channel_window_edges(self, kind, offset, inside):
+        """A second row whose support starts at onset + horizon + offset.
+
+        Its support is longer than the window, so a window start read from
+        the row's end, or a negative window end read from its start, both
+        change the set.
+        """
+        horizon = round(CHANNEL_WINDOW_MS * FS / 1000.0)
+        values = np.zeros((3, 3000))
+        if kind == "dense":
+            values[[0, 2]] = np.random.default_rng(3).uniform(0.5, 1.5, (2, 3000))
+        values[0, 1200:1300] = 10.0  # drives the onset at 1263
+        start = 1263 + horizon + offset
+        values[1, start : start + 2 * horizon] = 10.0
+        assert (2 * np.count_nonzero(values) < values.size) == (kind == "mostly_zero")
+        detection = detect_buildup(as_map(values))
+        assert detection.onset_sample == 1263
+        assert detection.channel_indices == (frozenset({0, 1}) if inside else frozenset({0}))
+        _, onset, channels, _ = median_buildup(values, K_SIGMA, FS)
+        assert (detection.onset_sample, detection.channel_indices) == (onset, channels)
+
     def test_empty_detection_reports_false(self):
         detection = BuildupDetection(
             channel_indices=frozenset(), onset_sample=-1, peak_energy=0.0
@@ -827,26 +885,21 @@ class TestDetectBuildup:
         assert not detection.detected
 
 
-def oracle_runs(above, run_length):
-    return [first_sustained_run(row, run_length) for row in above]
-
-
 @st.composite
-def flag_matrices(draw):
-    rows = draw(st.integers(1, 4))
+def flag_rows(draw):
     n = draw(st.integers(0, 3 * RUN_LENGTH))
     # mostly-True rows, so runs near RUN_LENGTH are common
     density = draw(st.sampled_from([0.5, 0.9, 0.97, 0.99, 1.0]))
-    uniform = draw(arrays(np.float64, (rows, n), elements=st.floats(0.0, 1.0)))
+    uniform = draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
     return uniform < density
 
 
 class TestFirstSustainedRuns:
     @settings(deadline=None, max_examples=300)
-    @given(flag_matrices(), st.sampled_from([1, 2, 5, RUN_LENGTH]))
+    @given(flag_rows(), st.sampled_from([1, 2, 5, RUN_LENGTH]))
     def test_matches_the_plain_loop(self, above, run_length):
-        got = _first_sustained_runs(above, run_length)
-        assert got.tolist() == oracle_runs(above, run_length)
+        got = _first_sustained_run(above, run_length)
+        assert got == first_sustained_run(above, run_length)
 
     @pytest.mark.parametrize(
         "first, last, expected",
@@ -861,22 +914,22 @@ class TestFirstSustainedRuns:
         ],
     )
     def test_run_edges(self, first, last, expected):
-        above = np.zeros((2, 200), dtype=bool)
-        above[1, first:last] = True
-        assert _first_sustained_runs(above, RUN_LENGTH).tolist() == [-1, expected]
-        assert oracle_runs(above, RUN_LENGTH) == [-1, expected]
+        above = np.zeros(200, dtype=bool)
+        assert _first_sustained_run(above, RUN_LENGTH) == -1
+        above[first:last] = True
+        assert _first_sustained_run(above, RUN_LENGTH) == expected
+        assert first_sustained_run(above, RUN_LENGTH) == expected
 
     @pytest.mark.parametrize("n", [0, 1, RUN_LENGTH - 1])
     def test_rows_shorter_than_a_run_have_none(self, n):
-        above = np.ones((3, n), dtype=bool)
-        assert _first_sustained_runs(above, RUN_LENGTH).tolist() == [-1, -1, -1]
+        assert _first_sustained_run(np.ones(n, dtype=bool), RUN_LENGTH) == -1
 
     def test_earliest_run_wins_over_a_longer_later_one(self):
-        above = np.zeros((1, 400), dtype=bool)
-        above[0, 10:10 + RUN_LENGTH - 1] = True
-        above[0, 100:100 + RUN_LENGTH] = True
-        above[0, 200:400] = True
-        assert _first_sustained_runs(above, RUN_LENGTH).tolist() == [100]
+        above = np.zeros(400, dtype=bool)
+        above[10:10 + RUN_LENGTH - 1] = True
+        above[100:100 + RUN_LENGTH] = True
+        above[200:400] = True
+        assert _first_sustained_run(above, RUN_LENGTH) == 100
 
 
 def test_noise_only_maps_stay_flat(default_config):

@@ -20,10 +20,20 @@ same products, and the crop's own wrap-around only reads samples that are
 zero in the full-length synthesis as well, at every level. The kernel sums
 from +0.0, so the sign of a zero operand never reaches the output, and the
 full-length synthesis is +0.0 outside the support, as the scatter writes.
+
+The detector's moving average is likewise run only where its maximum can
+be. A cumulative sum estimates every box sum to within a bound on its
+rounding, and the exact average runs on the span of the indices whose
+estimate is within that bound of the largest, sliced from the wrap-padded
+energy that the cumulative sum reads. Every
+index of the span gets the full-length average's value bit for bit, and the
+first maximum is in the span, so the centre is the full-length rule's
+(`detect_oscillation_center` derives the bound).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +75,10 @@ def mask_geometry(target_freq_hz):
     55 -> (180 ms, 2), 85 -> (150 ms, 2); other frequencies get 9 cycles
     and 2 scales.
     """
-    if target_freq_hz <= 0:
-        raise ValueError(f"target_freq_hz must be positive, got {target_freq_hz}")
+    if not 0 < target_freq_hz < math.inf:
+        raise ValueError(
+            f"target_freq_hz must be positive and finite, got {target_freq_hz}"
+        )
     duration_ms = oscillation_duration_ms(target_freq_hz)
     n_scales = 3 if float(target_freq_hz) == 45.0 else 2
     return duration_ms, n_scales
@@ -120,6 +132,40 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
     and returns the first index attaining the maximum. Raises
     NoDetectionError when that energy is zero everywhere, and ValueError
     when it overflows or the target lies below the transform's lowest band.
+
+    The moving average is computed exactly only where the maximum can be.
+    One cumulative sum of the wrap-padded energy gives an estimate of every
+    index's box sum B[j], the w = width energies that it averages. Each
+    index whose estimate is within ``margin`` of the largest is a
+    candidate. The single `circular_conv` smoother then runs on the slice
+    of the padded energy from the first candidate's box to the last
+    candidate's; its first w - 1 outputs wrap inside the slice and are
+    dropped. Every index from the first to the last candidate gets the
+    full-length smoother's value bit for bit, the same products added in
+    the same order, so if the first maximum is a candidate, it is the
+    first maximum of the slice.
+
+    The margin makes it one. Let u = 2**-53, eta = 2**-1074, T the total
+    of the N = n + w - 1 padded energies and g(k) = k*u / (1 - k*u). The
+    energies are not negative, so each partial sum is within g(N)*T of its
+    exact value, and each estimate, a difference of two partial sums
+    rounded once, is within 3*g(N)*T of B[j] (N >= 2; one sample is the
+    whole circle). The smoother rounds w products c*e, c = 1/w rounded,
+    each to within a relative u or, below the normal range, an absolute
+    eta/2, then adds them in order, so its value is within
+    g(w)*c*B[j] + w*eta of c*B[j]. For i the first exact maximum and j the
+    largest estimate, the two bounds give
+    est[j] - est[i] <= (6*g(N) + 3*g(w))*T + 4*w*w*eta, and
+    margin = 8*(n + 2*w)*u*T + 4*w*w*eta exceeds that by more than the
+    rounding of the comparison. Without the absolute term, energies
+    below the normal range, where c*e loses its relative accuracy, would
+    let the estimate pick another burst.
+
+    A non-finite T (an overflow or a NaN) makes the margin or the estimates
+    non-finite, and no comparison with them is true; an all-zero energy
+    makes every estimate 0.0. In both cases every index is a candidate,
+    the slice is the whole padded energy, and the checks below raise as
+    they would on a full-length smoothing.
     """
     duration_ms, _ = mask_geometry(target_freq_hz)
     width = max(1, ms_to_samples(duration_ms, sample_rate_hz))
@@ -133,6 +179,9 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
     n = coeffs.n_samples
     energy = np.zeros(n)
     width = min(width, n)
+    # smoothed[j] averages energy[j + half - lead], ..., energy[j + half]
+    lead = width - 1
+    half = lead // 2
     # an overflow is reported below as a ValueError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for level in scales:
@@ -142,8 +191,18 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
             advance = analysis_advance(filter_length, level) % max(n, 1)
             energy[: n - advance] += square[advance:]
             energy[n - advance :] += square[:advance]
-        smoothed = circular_conv(energy, np.full(width, 1.0 / width))
-    smoothed = np.roll(smoothed, -((width - 1) // 2))
+        # padded[j : j + width] is the box of smoothed[j], so
+        # partial[j + width] - partial[j] estimates its sum
+        padded = np.concatenate((energy[n - (lead - half) :], energy, energy[:half]))
+        partial = np.zeros(n + width)
+        np.cumsum(padded, out=partial[1:])
+        estimate = partial[width:] - partial[:n]
+        margin = 8.0 * (n + 2 * width) * 2.0**-53 * partial[-1]
+        margin += 4.0 * width * width * 2.0**-1074
+        candidates = np.flatnonzero(~(estimate < estimate.max() - margin))
+        first = int(candidates[0])
+        crop = padded[first : candidates[-1] + width]
+        smoothed = circular_conv(crop, np.full(width, 1.0 / width))[lead:]
     peak = smoothed.max()
     if not np.isfinite(peak):
         raise ValueError(
@@ -154,7 +213,7 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
         raise NoDetectionError(
             f"no oscillatory energy found near {target_freq_hz} Hz"
         )
-    return int(np.argmax(smoothed))
+    return first + int(np.argmax(smoothed))
 
 
 def build_mask(center_sample, target_freq_hz, sample_rate_hz, n_samples):

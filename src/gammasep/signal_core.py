@@ -27,27 +27,39 @@ def ms_to_samples(duration_ms, sample_rate_hz):
     """Convert a duration in milliseconds to a sample count.
 
     Rounds to the nearest integer (ties to even). Both arguments must be
-    positive; the result can still be 0 for sub-sample durations, which
-    window construction rejects downstream.
+    positive and finite, and so must their product; the result can still
+    be 0 for sub-sample durations, which window construction rejects
+    downstream.
     """
-    if duration_ms <= 0:
-        raise ValueError(f"duration_ms must be positive, got {duration_ms}")
-    if sample_rate_hz <= 0:
-        raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
-    return int(round(duration_ms * sample_rate_hz / 1000.0))
+    if not 0 < duration_ms < math.inf:
+        raise ValueError(f"duration_ms must be positive and finite, got {duration_ms}")
+    if not 0 < sample_rate_hz < math.inf:
+        raise ValueError(
+            f"sample_rate_hz must be positive and finite, got {sample_rate_hz}"
+        )
+    samples = duration_ms * sample_rate_hz / 1000.0
+    if samples == math.inf:
+        raise ValueError(
+            f"duration_ms {duration_ms} at sample_rate_hz {sample_rate_hz} "
+            "overflows the sample count"
+        )
+    return int(round(samples))
 
 
 def oscillation_duration_ms(freq_hz):
     """Nominal duration of a gamma oscillatory event at the given frequency.
 
     The three standard targets (45, 55, 85 Hz) use fixed durations of 200,
-    180 and 150 ms. Any other positive frequency falls back to 9 cycles.
+    180 and 150 ms. Any other positive finite frequency falls back to 9
+    cycles.
     """
-    if freq_hz <= 0:
-        raise ValueError(f"freq_hz must be positive, got {freq_hz}")
+    if not 0 < freq_hz < math.inf:
+        raise ValueError(f"freq_hz must be positive and finite, got {freq_hz}")
     duration = _EVENT_DURATIONS_MS.get(float(freq_hz))
     if duration is None:
         duration = 9.0 * 1000.0 / freq_hz
+    if duration == math.inf:
+        raise ValueError(f"freq_hz {freq_hz} is too low: 9 cycles overflow")
     return duration
 
 

@@ -10,6 +10,7 @@ one filter bank built in, db4, is eight fixed scaling taps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,12 +192,20 @@ def iswt_reconstruct(coeffs, filters):
 
 def level_for_frequency(freq_hz, sample_rate_hz):
     """Detail level whose band [fs/2^(j+1), fs/2^j) contains the frequency."""
+    if not 0 < sample_rate_hz < math.inf:
+        raise ValueError(
+            f"sample_rate_hz must be positive and finite, got {sample_rate_hz}"
+        )
     nyquist = sample_rate_hz / 2.0
     if not 0 < freq_hz < nyquist:
         raise ValueError(
             f"freq_hz must lie in (0, {nyquist}), got {freq_hz}"
         )
+    # above the subnormal range halving is exact, so band_low is
+    # fs / 2**(j + 1); unlike 2.0**(j + 1), it cannot overflow
     j = 1
-    while sample_rate_hz / 2.0 ** (j + 1) > freq_hz:
+    band_low = sample_rate_hz / 4.0
+    while band_low > freq_hz:
+        band_low /= 2.0
         j += 1
     return j

@@ -205,7 +205,12 @@ def _morlet_bank(scales):
 
 def _bandpass_length(sample_rate_hz):
     """Tap count of `bandpass_taps`, odd, for a 5 Hz transition width."""
-    n_taps = int(math.ceil(3.3 * sample_rate_hz / 5.0))
+    n_taps = 3.3 * sample_rate_hz / 5.0
+    if not n_taps < math.inf:
+        raise ValueError(
+            f"sample_rate_hz {sample_rate_hz} overflows the band-pass tap count"
+        )
+    n_taps = math.ceil(n_taps)
     return n_taps if n_taps % 2 else n_taps + 1
 
 
@@ -218,6 +223,10 @@ def bandpass_taps(band_hz, sample_rate_hz):
     are read-only.
     """
     low, high = band_hz
+    if not 0 < sample_rate_hz < math.inf:
+        raise ValueError(
+            f"sample_rate_hz must be positive and finite, got {sample_rate_hz}"
+        )
     nyquist = sample_rate_hz / 2.0
     if not 0 < low < high < nyquist:
         raise ValueError(
@@ -261,8 +270,8 @@ def envelope_smooth(x, width_samples):
     For even widths the window covers width/2 samples to the left and
     width/2 - 1 to the right of each position.
     """
-    if width_samples < 1:
-        raise ValueError(f"width must be >= 1, got {width_samples}")
+    if not 1 <= width_samples < math.inf:
+        raise ValueError(f"width_samples must be finite and >= 1, got {width_samples}")
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     width = int(width_samples)

@@ -246,6 +246,39 @@ def ref_separate(x, target_freq_hz, sample_rate_hz, dec_lo, dec_hi,
     return osc, trans, center
 
 
+def box_peak_center(coeffs, target_freq_hz, sample_rate_hz, filter_length):
+    """Detection centre by the full-length rule: every box, rolled, first argmax.
+
+    The energy is the sum, in ascending level order from zeros, of each
+    mask level's squared details rolled back by its analysis advance. The
+    box is circular, w = min(mask length, n) energies each times 1.0 / w,
+    added from +0.0 in the order e[i], e[i-1], ..., e[i-w+1], as the
+    package's circular kernel adds them. It is rolled back by (w - 1) // 2.
+    A non-finite maximum raises ValueError and a maximum of zero
+    NoDetectionError.
+    """
+    from gammasep.despike import NoDetectionError
+
+    length, scales = ref_mask_plan(target_freq_hz, sample_rate_hz)
+    n = coeffs.n_samples
+    width = min(max(1, length), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = np.zeros(n)
+        for s in sorted(scales):
+            d = coeffs.details[s - 1]
+            energy += np.roll(d * d, -(((filter_length - 1) * (2 ** s - 1)) // 2))
+        smoothed = np.zeros(n)
+        for m in range(width):
+            smoothed += (1.0 / width) * np.roll(energy, m)
+    smoothed = np.roll(smoothed, -((width - 1) // 2))
+    peak = smoothed.max()
+    if not np.isfinite(peak):
+        raise ValueError("detail energy is not finite")
+    if peak <= 0.0:
+        raise NoDetectionError("no oscillatory energy")
+    return int(np.argmax(smoothed))
+
+
 def pearson(a, b):
     """Plain correlation coefficient; zero-variance inputs give nan."""
     a = np.asarray(a, dtype=np.float64)

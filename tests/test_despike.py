@@ -20,15 +20,17 @@ from gammasep.despike import (
     threshold_coeffs,
 )
 from gammasep.signal_core import TimeWindow, oscillation_duration_ms
-from gammasep.swt import swt_decompose, wavelet_filters
+from gammasep.swt import WaveletCoefficients, swt_decompose, wavelet_filters
 from frozen import RESEPARATION_ENERGY_FRACTION
 from oracles import (
     FILTER_LENGTHS,
+    box_peak_center,
     full_separate,
     orthonormal_filters,
     pearson,
     placed_burst,
     random_orthonormal_filters,
+    ref_mask_plan,
     same_bits,
 )
 
@@ -61,6 +63,14 @@ class TestMaskGeometry:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             mask_geometry(-45.0)
+
+    def test_rejects_nan_frequency(self):
+        with pytest.raises(ValueError, match="target_freq_hz must be positive and finite"):
+            mask_geometry(math.nan)
+
+    def test_rejects_infinite_frequency(self):
+        with pytest.raises(ValueError, match="target_freq_hz must be positive and finite"):
+            mask_geometry(math.inf)
 
 
 class TestMaskScales:
@@ -167,6 +177,171 @@ class TestDetection:
         with pytest.raises(ValueError, match="levels"):
             # needs level 3
             detect_oscillation_center(coeffs, 45.0, FS, filter_length=db4.length)
+
+
+class TestSeparationBoundary:
+    """Arguments that are not finite are refused by name, as ValueError."""
+
+    x = np.sin(np.arange(1024) * 0.3)
+
+    def test_infinite_rate(self):
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            separate(self.x, 85.0, math.inf)
+
+    def test_rate_whose_mask_length_overflows(self):
+        # 150 ms at 1e308 Hz is inf samples
+        with pytest.raises(ValueError, match="overflows the sample count"):
+            separate(self.x, 85.0, 1e308)
+
+    def test_nan_target(self):
+        with pytest.raises(ValueError, match="target_freq_hz must be positive and finite"):
+            separate(self.x, math.nan, FS)
+
+
+# a 9-cycle mask at FS is 9 * FS / f samples wide, so this target makes it w
+def target_for_width(w):
+    return 9.0 * FS / w
+
+
+def detail_coeffs(d, target):
+    """Coefficients whose detection energy, with 1-tap filters, is d * d.
+
+    d sits at the lowest of the target's mask levels and every other level
+    is zeros, so the energy is 0.0 + d * d plus zeros, and no level is
+    advanced.
+    """
+    _, scales = ref_mask_plan(target, FS)
+    details = [np.zeros(d.size) for _ in range(5)]
+    details[min(scales) - 1] = d
+    return WaveletCoefficients(approximation=np.zeros(d.size), details=tuple(details))
+
+
+def outcome(detect, coeffs, target):
+    """The detected index with 1-tap filters, or the class of the exception
+    raised instead."""
+    try:
+        return detect(coeffs, target, FS, 1)
+    except (ValueError, NoDetectionError) as exc:
+        return type(exc)
+
+
+# magnitudes of the details: ordinary, squares below the normal range (the
+# products c * e of the full box lose their relative accuracy there; at
+# 2**-537 a square is a whole number of the smallest subnormal), and
+# squares whose sums overflow
+DETAIL_SCALES = st.sampled_from([1.0, 3e-4, 2.0**-537, 1e153, 1e154]) | st.floats(
+    -163.0, -150.0
+).map(lambda decade: 10.0**decade)
+
+
+@st.composite
+def detail_cases(draw):
+    """(details, mask width): sparse or dense, bursts, plateaus and near-ties.
+
+    Bursts are runs of one value, up to a mask long and more, their
+    squares whole multiples of the scale's square, placed anywhere and
+    wrapped past the end. A copy of the whole pattern shifted around the
+    circle, with one sample moved by one ulp, makes near-ties, on either
+    side of the wrap.
+    """
+    n = draw(st.integers(1, 320))
+    width = draw(st.integers(19, 130))
+    scale = draw(DETAIL_SCALES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.sampled_from(["zeros", "dense", "constant"]))
+    if base == "dense":
+        d = rng.random(n) * scale
+    elif base == "constant":
+        d = np.full(n, scale)
+    else:
+        d = np.zeros(n)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 1))
+        run = draw(st.integers(1, width + 10))
+        d[np.arange(start, start + run) % n] = math.sqrt(draw(st.integers(1, 144))) * scale
+    if n > 1 and draw(st.booleans()):
+        twin = np.roll(d, draw(st.integers(1, n - 1)))
+        i = draw(st.integers(0, n - 1))
+        twin[i] = np.nextafter(twin[i], draw(st.sampled_from([0.0, np.inf])))
+        d = np.maximum(d, twin)
+    return d, width
+
+
+def spikes(n, at, values):
+    """n zeros but for `values` at the indices `at`."""
+    d = np.zeros(n)
+    d[list(at)] = values
+    return d
+
+
+class TestDetectionCrop:
+    """The candidate-span smoother gives the full-length box rule's centre."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(case=detail_cases())
+    # w == n, n < w and a single sample: the whole circle is the crop
+    @example(case=(np.linspace(0.0, 1.0, 40), 40))
+    @example(case=(np.linspace(1.0, 0.0, 25), 60))
+    @example(case=(np.array([2.0]), 19))
+    # all-zero energy, and energy whose sum overflows
+    @example(case=(np.zeros(200), 30))
+    @example(case=(spikes(200, [30, 120], 1e154), 30))
+    # equal spikes whose boxes reach across the wrap from both sides
+    @example(case=(spikes(300, [3, 296], 1.0), 20))
+    # spikes whose squares are a few subnormal steps, or a millionth apart
+    @example(case=(spikes(300, [20, 100], np.sqrt([30.0, 31.0]) * 2.0**-537), 20))
+    @example(case=(spikes(300, [20, 100], [1e-160, 1e-160 * 1.000001]), 20))
+    def test_matches_the_full_box(self, case):
+        d, width = case
+        target = target_for_width(width)
+        coeffs = detail_coeffs(d, target)
+        expected = outcome(box_peak_center, coeffs, target)
+        assert outcome(detect_oscillation_center, coeffs, target) == expected
+
+    def test_subnormal_products_pick_the_first_of_two_rounded_ties(self):
+        # with c = 1/20, c * 30 eta and c * 19 eta round to 2 eta and 1 eta:
+        # the box over the lone 30 eta spike and the one over both 19 eta
+        # spikes both hold 2 eta, but the cumulative sum sees 30 eta < 38 eta
+        eta = 2.0**-1074
+        d = np.zeros(400)
+        d[100] = math.sqrt(30.0) * 2.0**-537
+        d[250] = d[255] = math.sqrt(19.0) * 2.0**-537
+        assert (d * d)[[100, 250]].tolist() == [30 * eta, 19 * eta]
+        target = target_for_width(20)
+        coeffs = detail_coeffs(d, target)
+        center = detect_oscillation_center(coeffs, target, FS, filter_length=1)
+        assert center == box_peak_center(coeffs, target, FS, 1)
+        assert center == 100 - 19 // 2
+
+    def test_one_ulp_apart_spikes(self):
+        # the later spike is one ulp higher, and so is its box's average
+        d = np.zeros(600)
+        d[100] = 1.0
+        d[400] = np.nextafter(1.0, 2.0)
+        target = target_for_width(77)
+        coeffs = detail_coeffs(d, target)
+        center = detect_oscillation_center(coeffs, target, FS, filter_length=1)
+        assert center == box_peak_center(coeffs, target, FS, 1)
+        assert center == 400 - 76 // 2
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_every_protocol_channel(self, db4, index):
+        signal, _ = g.build_realization(g.SimConfig(), index)
+        for row in signal.data:
+            coeffs = swt_decompose(row, db4, 5)
+            for freq in (45.0, 55.0, 85.0):
+                assert detect_oscillation_center(
+                    coeffs, freq, FS, filter_length=db4.length
+                ) == box_peak_center(coeffs, freq, FS, db4.length)
+
+    def test_a_wide_array_channel(self, db4):
+        config = g.SimConfig(n_samples=30720, n_realizations=1, rng_seed=1)
+        signal, _ = g.build_realization(config, 0)
+        for row, freq in zip(signal.data, (45.0, 55.0, 85.0)):
+            coeffs = swt_decompose(row, db4, 5)
+            assert detect_oscillation_center(
+                coeffs, freq, FS, filter_length=db4.length
+            ) == box_peak_center(coeffs, freq, FS, db4.length)
 
 
 class TestThresholdCoeffs:

@@ -1,5 +1,7 @@
 """Tests for the shared containers and unit conversions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,21 @@ class TestMsToSamples:
         with pytest.raises(ValueError):
             ms_to_samples(10.0, 0.0)
 
+    @pytest.mark.parametrize("bad_ms", [math.nan, math.inf])
+    def test_rejects_non_finite_duration(self, bad_ms):
+        with pytest.raises(ValueError, match="duration_ms must be positive and finite"):
+            ms_to_samples(bad_ms, 512.0)
+
+    @pytest.mark.parametrize("bad_rate", [math.nan, math.inf])
+    def test_rejects_non_finite_rate(self, bad_rate):
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            ms_to_samples(150.0, bad_rate)
+
+    def test_rejects_an_overflowing_sample_count(self):
+        # 150 * 1e308 is inf, which round() cannot make an int of
+        with pytest.raises(ValueError, match="overflows the sample count"):
+            ms_to_samples(150.0, 1e308)
+
 
 class TestOscillationDuration:
     def test_standard_targets(self):
@@ -45,6 +62,15 @@ class TestOscillationDuration:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             oscillation_duration_ms(0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="freq_hz must be positive and finite"):
+            oscillation_duration_ms(bad)
+
+    def test_rejects_a_frequency_whose_nine_cycles_overflow(self):
+        with pytest.raises(ValueError, match="too low"):
+            oscillation_duration_ms(1e-310)
 
 
 class TestTimeWindow:

@@ -1,5 +1,7 @@
 """Tests for the undecimated wavelet transform and its inverse."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -310,6 +312,19 @@ class TestLevelForFrequency:
             level_for_frequency(0.0, 512.0)
         with pytest.raises(ValueError):
             level_for_frequency(256.0, 512.0)
+
+    @pytest.mark.parametrize("bad_rate", [math.inf, math.nan, 0.0])
+    def test_rejects_a_rate_that_is_not_positive_and_finite(self, bad_rate):
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            level_for_frequency(85.0, bad_rate)
+
+    def test_rejects_nan_frequency(self):
+        with pytest.raises(ValueError, match="freq_hz must lie in"):
+            level_for_frequency(math.nan, 512.0)
+
+    def test_far_below_the_rate_does_not_overflow(self):
+        # 512 / 2**(j + 1) reaches 5e-324 only past 2**1024
+        assert level_for_frequency(5e-324, 512.0) > 1000
 
 
 class TestWaveletCoefficients:

@@ -224,6 +224,18 @@ class TestBandpass:
             with pytest.raises(ValueError, match="band must satisfy"):
                 bandpass_taps(band, FS)
 
+    @pytest.mark.parametrize("bad_rate", [math.inf, math.nan])
+    def test_rejects_a_rate_that_is_not_finite(self, bad_rate):
+        x = sine(85.0, n=512)
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            bandpass_taps(BAND, bad_rate)
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            bandpass(x, BAND, bad_rate)
+
+    def test_rejects_a_rate_whose_tap_count_overflows(self):
+        with pytest.raises(ValueError, match="overflows the band-pass tap count"):
+            bandpass_taps(BAND, 1e308)
+
 
 class TestFilterCache:
     """The band-pass taps and the Morlet bank are built once per band."""
@@ -288,6 +300,11 @@ class TestEnvelopeSmooth:
         with pytest.raises(ValueError):
             envelope_smooth(np.ones(8), 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_width(self, bad):
+        with pytest.raises(ValueError, match="width_samples must be finite"):
+            envelope_smooth(np.ones(8), bad)
+
 
 class TestNormalizeByLowBand:
     def test_low_band_tone_normalizes_to_about_one(self):
@@ -316,6 +333,11 @@ class TestNormalizeByLowBand:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             normalize_by_low_band(np.zeros(10), np.zeros(11), FS)
+
+    def test_rejects_an_infinite_rate(self):
+        x = sine(12.0, n=1024)
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            normalize_by_low_band(x * x, x, math.inf)
 
     def test_ratio_bounded_where_the_low_band_dies_away(self, realization0):
         """A despiked channel keeps no 10-15 Hz energy away from its burst;

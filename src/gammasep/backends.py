@@ -1,9 +1,12 @@
 """Numeric convolution kernels shared by the wavelet and mapping chains.
 
 The circular kernel builds one wrap-padded copy of the input per call,
-multiplies it once per run of equal taps, and sums the taps' slices of that
-product in ascending tap order, from the first one plus +0.0, so its output
-is reproducible to the bit. The real centered kernel rides ``np.convolve``.
+multiplies it by the taps, and sums each tap's slice of the products in
+ascending tap order from +0.0, so its output is reproducible to the bit.
+A call whose tap products fit PRODUCT_BUDGET makes them all in one numpy
+call and sums them in one ordered reduction; a longer one, whose product
+matrix would leave the L2 cache, multiplies once per run of equal taps and
+adds the slices one by one. The real centered kernel rides ``np.convolve``.
 The complex one applies a bank of kernels as one matrix product: every
 output sample is the dot of the same input window with the same tap column,
 wherever the sample sits in the input.
@@ -12,7 +15,7 @@ wherever the sample sits in the input.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "centered_conv",
@@ -27,6 +30,11 @@ BLOCK_BYTES = 256 * 1024
 # it sits in the input and whichever bank its kernel belongs to
 BLOCK_ALIGN = 64
 BANK_WIDTH = 12
+# elements (512 KiB) of the tap-by-input product that circular_conv makes
+# in one call. The crossover for db4's 8 taps lies between 8192 and 16384
+# samples; at 30720 the one product is slower than the per-run loop
+# (201 against 116 us per call, 2-vCPU host) because it leaves L2
+PRODUCT_BUDGET = 2**16
 
 
 def circular_conv(x, taps, stride=1):
@@ -39,13 +47,25 @@ def circular_conv(x, taps, stride=1):
     with its last ``span`` samples in front, ``xp[j] = x[(j - span) mod n]``,
     so tap m reads the slice ``xp[span - m*stride : span - m*stride + n]``.
     Taps wider than the signal (``span >= n``) wrap it more than once, and
-    the pad is then gathered modulo n. The copy is multiplied once per run
-    of equal taps, so a box of k equal taps costs one product pass and k
-    sums. The slices are summed in ascending tap order, starting from the
-    first one plus +0.0: every product and sum is the one that adding each
-    tap's own product to zeros would take, bit for bit, sign of zero
-    included. (Sharing a product between +0.0 and -0.0 taps changes no bit,
-    since a sum started from +0.0 is never -0.0.)
+    the pad is then gathered modulo n. The slices are summed in ascending
+    tap order, starting from +0.0: every product and sum is the one that
+    adding each tap's own product to zeros would take, bit for bit, sign of
+    zero included. Two regimes, chosen from the sizes alone, do this:
+
+    - When the k rows of products, ``k * (n + span)`` elements, fit
+      PRODUCT_BUDGET, one ``np.multiply`` makes them all and one
+      ``np.add.reduce(..., axis=0, initial=0.0)`` sums a (k, n) view whose
+      row m starts at ``span - m*stride`` of product row m. Reducing over
+      the outer axis, numpy adds each row into the running sum in row
+      order. A single sample (n == 1) and a single tap stay on the loop:
+      numpy drops the length-1 output axis and sums the k products of one
+      sample pairwise, in another order, and with one tap the view's rows
+      would be shorter than n.
+    - Otherwise the copy is multiplied once per run of equal taps, so a box
+      of k equal taps costs one product pass and k sums, into one buffer
+      whose slices are added one by one. (Sharing a product between +0.0
+      and -0.0 taps changes no bit, since a sum started from +0.0 is never
+      -0.0.)
     """
     x = np.asarray(x, dtype=np.float64)
     taps = np.asarray(taps, dtype=np.float64)
@@ -60,14 +80,19 @@ def circular_conv(x, taps, stride=1):
     ):
         raise ValueError(f"stride must be a non-negative integer, got {stride!r}")
     stride = int(stride)
-    n = x.shape[0]
-    if n == 0 or taps.shape[0] == 0:
+    n, k = x.shape[0], taps.shape[0]
+    if n == 0 or k == 0:
         return np.zeros_like(x)
-    span = (taps.shape[0] - 1) * stride
+    span = (k - 1) * stride
     if span < n:
         xp = np.concatenate((x[n - span :], x))
     else:
         xp = np.take(x, np.arange(-span, n), mode="wrap")
+    if n > 1 and k > 1 and k * xp.size <= PRODUCT_BUDGET:
+        # row m of the (k, n) view starts at span - m*stride of product row m
+        rows = np.multiply(taps[:, None], xp).reshape(-1)
+        rows = rows[span : span + k * (xp.size - stride)].reshape(k, -1)[:, :n]
+        return np.add.reduce(rows, axis=0, initial=0.0)
     product = np.empty_like(xp)
     previous = None
     for m, tap in enumerate(taps.tolist()):
@@ -134,7 +159,11 @@ def centered_conv_complex(x, taps):
     )
     padded = -(-n // BLOCK_ALIGN) * BLOCK_ALIGN
     off = (k - 1) // 2
-    windows = sliding_window_view(np.pad(x, (k - 1 - off, off + padded - n)), k)
+    # window i is buffer[i : i + k]: the input zero-padded by k - 1 - off
+    # in front and to padded + k - 1 samples in all
+    buffer = np.zeros(padded + k - 1)
+    buffer[k - 1 - off : k - 1 - off + n] = x
+    windows = as_strided(buffer, (padded, k), 2 * buffer.strides, writeable=False)
     step = _block_rows(k)
     out = np.empty((rows, n), dtype=np.complex128)
     for lo in range(0, n, step):

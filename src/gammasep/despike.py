@@ -23,11 +23,11 @@ full-length synthesis is +0.0 outside the support, as the scatter writes.
 
 The detector's moving average is likewise run only where its maximum can
 be. A cumulative sum estimates every box sum to within a bound on its
-rounding, and the exact average runs on the span of the indices whose
-estimate is within that bound of the largest, sliced from the wrap-padded
-energy that the cumulative sum reads. Every
-index of the span gets the full-length average's value bit for bit, and the
-first maximum is in the span, so the centre is the full-length rule's
+rounding, and the exact average runs on the shortest circular arc that
+holds every index whose estimate is within that bound of the largest,
+taken from the wrap-padded energy that the cumulative sum reads. Every
+index of the arc gets the full-length average's value bit for bit, and
+every maximum is in the arc, so the centre is the full-length rule's
 (`detect_oscillation_center` derives the bound).
 """
 
@@ -137,13 +137,15 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
     One cumulative sum of the wrap-padded energy gives an estimate of every
     index's box sum B[j], the w = width energies that it averages. Each
     index whose estimate is within ``margin`` of the largest is a
-    candidate. The single `circular_conv` smoother then runs on the slice
-    of the padded energy from the first candidate's box to the last
-    candidate's; its first w - 1 outputs wrap inside the slice and are
-    dropped. Every index from the first to the last candidate gets the
-    full-length smoother's value bit for bit, the same products added in
-    the same order, so if the first maximum is a candidate, it is the
-    first maximum of the slice.
+    candidate. The candidates span the shortest circular arc that starts
+    after the widest gap between neighbouring candidates (the arc from the
+    first to the last one when the gap across the wrap is the widest). The
+    single `circular_conv` smoother then runs on the padded energy from the
+    arc's first box to its last, continued past the end at the head; its
+    first w - 1 outputs wrap inside the slice and are dropped. Every index
+    of the arc gets the full-length smoother's value bit for bit, the same
+    products added in the same order, so if every maximum is a candidate,
+    the smallest index attaining the arc's maximum is the first maximum.
 
     The margin makes it one. Let u = 2**-53, eta = 2**-1074, T the total
     of the N = n + w - 1 padded energies and g(k) = k*u / (1 - k*u). The
@@ -153,7 +155,7 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
     whole circle). The smoother rounds w products c*e, c = 1/w rounded,
     each to within a relative u or, below the normal range, an absolute
     eta/2, then adds them in order, so its value is within
-    g(w)*c*B[j] + w*eta of c*B[j]. For i the first exact maximum and j the
+    g(w)*c*B[j] + w*eta of c*B[j]. For i any exact maximum and j the
     largest estimate, the two bounds give
     est[j] - est[i] <= (6*g(N) + 3*g(w))*T + 4*w*w*eta, and
     margin = 8*(n + 2*w)*u*T + 4*w*w*eta exceeds that by more than the
@@ -200,8 +202,18 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
         margin = 8.0 * (n + 2 * width) * 2.0**-53 * partial[-1]
         margin += 4.0 * width * width * 2.0**-1074
         candidates = np.flatnonzero(~(estimate < estimate.max() - margin))
-        first = int(candidates[0])
-        crop = padded[first : candidates[-1] + width]
+        first, last = int(candidates[0]), int(candidates[-1])
+        gaps = np.diff(candidates)
+        # the shortest arc over the candidates starts after the widest gap;
+        # the gap across the wrap wins a tie
+        if gaps.size and gaps.max() > first + n - last:
+            widest = int(np.argmax(gaps))
+            first, last = int(candidates[widest + 1]), int(candidates[widest]) + n
+        if last < n:
+            crop = padded[first : last + width]
+        else:
+            # padded[j + n] is padded[j], so an arc past n - 1 goes on at its head
+            crop = np.concatenate((padded[first:n], padded[: last + width - n]))
         smoothed = circular_conv(crop, np.full(width, 1.0 / width))[lead:]
     peak = smoothed.max()
     if not np.isfinite(peak):
@@ -213,7 +225,8 @@ def detect_oscillation_center(coeffs, target_freq_hz, sample_rate_hz,
         raise NoDetectionError(
             f"no oscillatory energy found near {target_freq_hz} Hz"
         )
-    return first + int(np.argmax(smoothed))
+    # the full-length rule's tie: the smallest index attaining the peak
+    return int(((first + np.flatnonzero(smoothed == peak)) % n).min())
 
 
 def build_mask(center_sample, target_freq_hz, sample_rate_hz, n_samples):

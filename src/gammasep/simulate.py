@@ -11,6 +11,7 @@ Everything is deterministic given the seed.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -40,6 +41,8 @@ NOISE_EXPONENT = 1.0
 BURST_AMPLITUDE_UV = 50.0
 TRANSIENT_AMPLITUDE_UV = 100.0
 TRANSIENT_WIDTH_MS = 20.0
+# entries of the noise gain cache; a run uses one recording length
+_GAINS_CACHE_SIZE = 8
 
 
 class OverlapRegime(enum.Enum):
@@ -243,21 +246,29 @@ def gen_colored_noise(n, exponent, rng_seed):
 
     White Gaussian noise is shaped in the frequency domain by k^(-exponent/2)
     per positive bin, the DC bin is zeroed, and the result is rescaled to
-    exactly unit sample variance.
+    exactly unit sample variance. The gains are built once per spectrum
+    size and exponent and shared read-only.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     rng = np.random.default_rng(rng_seed)
     white = rng.standard_normal(n)
     spectrum = np.fft.rfft(white)
-    k = np.arange(spectrum.size, dtype=np.float64)
-    gains = np.zeros(spectrum.size)
-    gains[1:] = k[1:] ** (-exponent / 2.0)
-    noise = np.fft.irfft(spectrum * gains, n)
+    noise = np.fft.irfft(spectrum * _noise_gains(spectrum.size, exponent), n)
     std = noise.std()
     if std == 0.0:
         return np.zeros(n)
     return noise / std
+
+
+@functools.lru_cache(maxsize=_GAINS_CACHE_SIZE)
+def _noise_gains(bins, exponent):
+    """Read-only gain k**(-exponent/2) of each rfft bin k, and 0.0 at DC."""
+    k = np.arange(bins, dtype=np.float64)
+    gains = np.zeros(bins)
+    gains[1:] = k[1:] ** (-exponent / 2.0)
+    gains.setflags(write=False)
+    return gains
 
 
 def _place(template, start, n):

@@ -100,6 +100,10 @@ RAMP_FRACTION = 0.5 - RUN_LENGTH / SMOOTH_WIDTH
 # keep kernel samples while the Gaussian envelope is at least this fraction
 # of its peak
 _ENVELOPE_FLOOR = 1e-6
+# largest band-pass FIR built, 8 MiB of taps: rates up to about 1.59 MHz.
+# A rate above it (a mistyped CSV header, say) is refused before the taps,
+# the filter's working arrays and each row's convolution are allocated
+MAX_BANDPASS_TAPS = 2**20 + 1
 # entries of each filter cache; one map uses two tap arrays and one bank
 _FILTER_CACHE_SIZE = 16
 
@@ -204,14 +208,24 @@ def _morlet_bank(scales):
 
 
 def _bandpass_length(sample_rate_hz):
-    """Tap count of `bandpass_taps`, odd, for a 5 Hz transition width."""
+    """Tap count of `bandpass_taps`, odd, for a 5 Hz transition width.
+
+    A rate that asks for more than MAX_BANDPASS_TAPS taps raises
+    ValueError, before any filter is built.
+    """
     n_taps = 3.3 * sample_rate_hz / 5.0
     if not n_taps < math.inf:
         raise ValueError(
             f"sample_rate_hz {sample_rate_hz} overflows the band-pass tap count"
         )
     n_taps = math.ceil(n_taps)
-    return n_taps if n_taps % 2 else n_taps + 1
+    n_taps = n_taps if n_taps % 2 else n_taps + 1
+    if n_taps > MAX_BANDPASS_TAPS:
+        raise ValueError(
+            f"sample_rate_hz {sample_rate_hz} needs {n_taps} band-pass taps, "
+            f"more than the {MAX_BANDPASS_TAPS} allowed"
+        )
+    return n_taps
 
 
 def bandpass_taps(band_hz, sample_rate_hz):
@@ -268,10 +282,14 @@ def envelope_smooth(x, width_samples):
     """Centered moving average; the window shrinks at the boundaries.
 
     For even widths the window covers width/2 samples to the left and
-    width/2 - 1 to the right of each position.
+    width/2 - 1 to the right of each position. Each output is the
+    difference of two entries of one cumulative sum, divided by the count
+    of samples its window holds; the width must be a whole number.
     """
     if not 1 <= width_samples < math.inf:
         raise ValueError(f"width_samples must be finite and >= 1, got {width_samples}")
+    if width_samples % 1:
+        raise ValueError(f"width_samples must be a whole number, got {width_samples}")
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     width = int(width_samples)
@@ -279,11 +297,21 @@ def envelope_smooth(x, width_samples):
         return x.copy()
     left = width // 2
     right = width - 1 - left
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    idx = np.arange(n)
-    lo = np.maximum(idx - left, 0)
-    hi = np.minimum(idx + right, n - 1)
-    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    csum = np.zeros(n + 1)
+    np.cumsum(x, out=csum[1:])
+    # sample i averages x[lo:hi] with lo = max(i - left, 0) and
+    # hi = min(i + right + 1, n); csum[lo] is 0.0 for i < left, and
+    # subtracting 0.0 changes no bit, so those samples skip it
+    sums = np.full(n, csum[n])
+    sums[: max(n - right, 0)] = csum[right + 1 :]
+    clipped = min(left, n)
+    sums[clipped:] -= csum[: n - clipped]
+    # hi - lo is the width less the samples clipped at either end
+    count = np.full(n, float(width))
+    count[:clipped] -= np.arange(left, left - clipped, -1.0)
+    count[max(n - right, 0) :] -= np.arange(max(right - n, 0) + 1.0, right + 1.0)
+    sums /= count
+    return sums
 
 
 def normalize_by_low_band(band_energy, x_original, sample_rate_hz):

@@ -12,6 +12,12 @@ from gammasep.swt import FilterPair, wavelet_filters
 # CI keeps no example database, so a failure there prints the blob that
 # replays it with @reproduce_failure; per-test @settings inherit this
 settings.register_profile("ci", print_blob=True)
+# the circular kernel's exactness rests on numpy's reduction order, so CI
+# also runs tests/test_backends.py with `--hypothesis-profile=thorough`;
+# tests that set their own max_examples keep it
+settings.register_profile(
+    "thorough", parent=settings.get_profile("ci"), max_examples=1000
+)
 if "CI" in os.environ:
     settings.load_profile("ci")
 

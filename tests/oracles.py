@@ -194,6 +194,24 @@ def centered_box_mean(values, width):
     return values[idx].mean(axis=1)
 
 
+def shrinking_box_mean(x, width):
+    """Centered moving average over [max(i - w//2, 0), min(i + (w-1)//2, n-1)].
+
+    Each window's sum is the difference of two gathered entries of one
+    cumulative sum, divided by the window's sample count as an integer.
+    """
+    n = x.size
+    if width == 1 or n == 0:
+        return x.copy()
+    left = width // 2
+    right = width - 1 - left
+    csum = np.concatenate(([0.0], np.cumsum(x)))
+    idx = np.arange(n)
+    lo = np.maximum(idx - left, 0)
+    hi = np.minimum(idx + right, n - 1)
+    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+
+
 REF_DURATIONS_MS = {45.0: 200.0, 55.0: 180.0, 85.0: 150.0}
 REF_SCALE_COUNTS = {45.0: 3, 55.0: 2, 85.0: 2}
 

@@ -112,6 +112,9 @@ def tap_run_problems(draw):
 @example((np.array([-2.0, 1.0, 4.0]), np.array([1.0, 1.0, 2.0, -0.0, 0.0]), 5))
 @example((np.array([1.0, 2.0, 4.0]), np.array([1.5, -1.5, -1.5]), 1))
 @example((np.array([1.0, 3.0]), np.array([1.5, np.nextafter(1.5, 2.0)]), 1))
+# one sample: a (8, 1) product summed by np.add.reduce would go through
+# numpy's pairwise sum and give -4.44e-16, not the ordered sum's -6.66e-16
+@example((np.array([1.0]), np.linspace(-1.0, 1.0, 8), 1))
 def test_shared_products_equal_rolled_copies_exactly(problem):
     x, taps, stride = problem
     assert same_bits(
@@ -128,6 +131,25 @@ def test_every_detection_box_width_equals_rolled_copies_exactly(rng, n, freq_hz)
     box = np.full(width, 1.0 / width)
     for energy in (rng.standard_normal(n) ** 2, half_silent(rng, n) ** 2):
         assert same_bits(backends.circular_conv(energy, box), roll_conv(energy, box))
+
+
+@pytest.mark.parametrize("above", [0, 1])
+@pytest.mark.parametrize("filters, stride", [
+    ("db4", 1), ("db4", 16), ("box", 1),
+])
+def test_product_budget_edge_equals_rolled_copies_exactly(db4, rng, filters, stride, above):
+    # the longest input whose tap products fit PRODUCT_BUDGET, summed in one
+    # reduction, and one sample more, summed by the per-run loop
+    bank = (db4.dec_lo, db4.rec_hi) if filters == "db4" else (np.full(77, 1.0 / 77),)
+    for taps in bank:
+        k = taps.size
+        span = (k - 1) * stride
+        n = backends.PRODUCT_BUDGET // k - span + above
+        assert (k * (n + span) <= backends.PRODUCT_BUDGET) == (above == 0)
+        for x in (rng.standard_normal(n), half_silent(rng, n) ** 2):
+            assert same_bits(
+                backends.circular_conv(x, taps, stride), roll_conv(x, taps, stride)
+            )
 
 
 def test_circular_conv_of_empty_input_is_empty():

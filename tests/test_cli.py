@@ -758,6 +758,18 @@ def test_non_finite_rate_exits_invalid_naming_the_file(tmp_path, capsys, command
     assert f"{path}: sample_rate_hz must be positive and finite, got {rate}" in err
 
 
+def test_map_at_a_rate_above_the_tap_ceiling_exits_invalid(tmp_path, capsys):
+    signal, _ = g.build_realization(g.SimConfig(n_samples=2000), 0)
+    path = tmp_path / "fast.csv"
+    write_signal_csv(path, signal)
+    text = path.read_text().replace("# rate=512.0\n", "# rate=1e10\n", 1)
+    path.write_text(text)
+    code = main(["map", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID
+    assert not (tmp_path / "out").exists()
+    assert "sample_rate_hz 10000000000.0 needs" in capsys.readouterr().err
+
+
 def test_overflow_inside_a_zero_channel_exits_invalid(tmp_path, capsys):
     # a despiked-like file: exact zeros, one huge sample in ch2
     data = np.zeros((3, 2000))

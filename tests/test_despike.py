@@ -324,6 +324,24 @@ class TestDetectionCrop:
         assert center == box_peak_center(coeffs, target, FS, 1)
         assert center == 400 - 76 // 2
 
+    def test_candidates_at_both_ends_smooth_the_short_arc(self, monkeypatch):
+        # spikes at energy index 20 and n - 20 put candidates at both ends of
+        # the rolled range; the boxes over both tie across the wrap, and the
+        # smallest index, 0, wins
+        n = 30720
+        d = spikes(n, [20, n - 20], 1.0)
+        coeffs = detail_coeffs(d, 85.0)
+        lengths = []
+
+        def recorded(x, taps, stride=1):
+            lengths.append(x.size)
+            return g.backends.circular_conv(x, taps, stride)
+
+        monkeypatch.setattr(g.despike, "circular_conv", recorded)
+        center = detect_oscillation_center(coeffs, 85.0, FS, filter_length=1)
+        assert center == box_peak_center(coeffs, 85.0, FS, 1)
+        assert len(lengths) == 1 and lengths[0] < n
+
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_every_protocol_channel(self, db4, index):
         signal, _ = g.build_realization(g.SimConfig(), index)

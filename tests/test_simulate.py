@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gammasep import simulate
 from gammasep.simulate import (
     BURST_AMPLITUDE_UV,
     SAMPLE_RATE_HZ,
@@ -17,6 +18,7 @@ from gammasep.simulate import (
     gen_gamma_burst,
     gen_transient,
 )
+from oracles import same_bits
 
 
 class TestGammaBurst:
@@ -108,6 +110,20 @@ class TestColoredNoise:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             gen_colored_noise(0, 1.0, 0)
+
+    @pytest.mark.parametrize("n, exponent", [(5000, 1.0), (30720, 1.0), (999, 2.0)])
+    def test_shared_gains_give_the_per_call_noise(self, n, exponent):
+        # the gains built afresh on each call, as the noise was first defined
+        spectrum = np.fft.rfft(np.random.default_rng(3).standard_normal(n))
+        k = np.arange(spectrum.size, dtype=np.float64)
+        gains = np.zeros(spectrum.size)
+        gains[1:] = k[1:] ** (-exponent / 2.0)
+        noise = np.fft.irfft(spectrum * gains, n)
+        assert same_bits(gen_colored_noise(n, exponent, 3), noise / noise.std())
+        shared = simulate._noise_gains(spectrum.size, exponent)
+        assert same_bits(shared, gains)
+        with pytest.raises(ValueError):
+            shared[1] = 0.0
 
 
 class TestSimConfig:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gammasep.tfmap import (
     CHANNEL_WINDOW_MS,
     K_SIGMA,
     LOW_BAND_HZ,
+    MAX_BANDPASS_TAPS,
     RAMP_FRACTION,
     RUN_LENGTH,
     SMOOTH_WIDTH,
@@ -44,6 +46,7 @@ from oracles import (
     full_map_row,
     median_buildup,
     same_bits,
+    shrinking_box_mean,
 )
 
 FS = 512.0
@@ -236,6 +239,25 @@ class TestBandpass:
         with pytest.raises(ValueError, match="overflows the band-pass tap count"):
             bandpass_taps(BAND, 1e308)
 
+    def test_refuses_a_rate_above_the_tap_ceiling_before_allocating(self):
+        # 1e10 Hz would ask for 6,600,000,001 taps, tens of GB
+        bandpass_taps(BAND, FS)  # a first call may import or cache
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="sample_rate_hz 10000000000.0 needs"):
+                bandpass_taps(BAND, 1e10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
+    def test_the_tap_ceiling_admits_its_own_count(self):
+        # the highest rate below the ceiling; its taps are not built here
+        rate = (MAX_BANDPASS_TAPS - 1) * 5.0 / 3.3
+        assert g.tfmap._bandpass_length(rate) <= MAX_BANDPASS_TAPS
+        with pytest.raises(ValueError, match="more than the"):
+            g.tfmap._bandpass_length(rate * 1.01)
+
 
 class TestFilterCache:
     """The band-pass taps and the Morlet bank are built once per band."""
@@ -304,6 +326,28 @@ class TestEnvelopeSmooth:
     def test_rejects_non_finite_width(self, bad):
         with pytest.raises(ValueError, match="width_samples must be finite"):
             envelope_smooth(np.ones(8), bad)
+
+    def test_rejects_a_width_that_is_not_whole(self):
+        with pytest.raises(ValueError, match="whole number, got 2.5"):
+            envelope_smooth(np.arange(6.0), 2.5)
+
+    def test_whole_float_width_is_the_integer_width(self, rng):
+        x = rng.standard_normal(700)
+        assert same_bits(envelope_smooth(x, 256.0), envelope_smooth(x, SMOOTH_WIDTH))
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        x=st.integers(1, 600).flatmap(
+            lambda n: arrays(np.float64, n, elements=st.one_of(
+                st.sampled_from([0.0, -0.0]),
+                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            ))
+        ),
+        width=st.sampled_from([1, 2, 3, SMOOTH_WIDTH]),
+    )
+    def test_equals_the_gathered_cumulative_sum_rule(self, x, width):
+        # n below, at and above the width, so windows clip at one end or both
+        assert same_bits(envelope_smooth(x, width), shrinking_box_mean(x, width))
 
 
 class TestNormalizeByLowBand:

@@ -5,11 +5,12 @@ multiplies it by the taps, and sums each tap's slice of the products in
 ascending tap order from +0.0, so its output is reproducible to the bit.
 A call whose tap products fit PRODUCT_BUDGET makes them all in one numpy
 call and sums them in one ordered reduction; a longer one, whose product
-matrix would leave the L2 cache, multiplies once per run of equal taps and
-adds the slices one by one. The real centered kernel rides ``np.convolve``.
-The complex one applies a bank of kernels as one matrix product: every
-output sample is the dot of the same input window with the same tap column,
-wherever the sample sits in the input.
+matrix would leave the L2 cache, multiplies each tap's slice of the copy
+into one buffer and adds it to the sum, one tap at a time. The real
+centered kernel rides ``np.convolve``. The complex one applies a bank of
+kernels as one matrix product: every output sample is the dot of the same
+input window with the same tap column, wherever the sample sits in the
+input.
 """
 
 from __future__ import annotations
@@ -61,11 +62,9 @@ def circular_conv(x, taps, stride=1):
       numpy drops the length-1 output axis and sums the k products of one
       sample pairwise, in another order, and with one tap the view's rows
       would be shorter than n.
-    - Otherwise the copy is multiplied once per run of equal taps, so a box
-      of k equal taps costs one product pass and k sums, into one buffer
-      whose slices are added one by one. (Sharing a product between +0.0
-      and -0.0 taps changes no bit, since a sum started from +0.0 is never
-      -0.0.)
+    - Otherwise each tap multiplies its own n-sample slice of the copy
+      into one buffer, which is added to the sum: k products and k sums
+      of n samples.
     """
     x = np.asarray(x, dtype=np.float64)
     taps = np.asarray(taps, dtype=np.float64)
@@ -93,17 +92,14 @@ def circular_conv(x, taps, stride=1):
         rows = np.multiply(taps[:, None], xp).reshape(-1)
         rows = rows[span : span + k * (xp.size - stride)].reshape(k, -1)[:, :n]
         return np.add.reduce(rows, axis=0, initial=0.0)
-    product = np.empty_like(xp)
-    previous = None
+    product = np.empty(n)
     for m, tap in enumerate(taps.tolist()):
-        if tap != previous:
-            np.multiply(xp, tap, out=product)
-            previous = tap
         start = span - m * stride
+        np.multiply(xp[start : start + n], tap, out=product)
         if m == 0:
-            y = product[start : start + n] + 0.0
+            y = product + 0.0
         else:
-            y += product[start : start + n]
+            y += product
     return y
 
 

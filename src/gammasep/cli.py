@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import despike, simulate, tfmap, tickmodel
-from .signal_core import MultiChannelSignal
-from .simulate import number_tuple
+from .signal_core import MultiChannelSignal, number_tuple
 from .swt import wavelet_filters
 
 __all__ = [
@@ -88,10 +87,9 @@ class RunConfig:
 
 def load_config(path):
     """RunConfig from a JSON file; unknown keys and bad settings are rejected."""
+    text = _read_text(path)
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SignalFormatError(f"{path}: {exc.strerror or exc}") from exc
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SignalFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:
@@ -113,6 +111,17 @@ def load_config(path):
 
 # ---------------------------------------------------------------------------
 # formats
+
+
+def _read_text(path):
+    """A file's UTF-8 text; a file that cannot be read or decoded raises
+    SignalFormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SignalFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SignalFormatError(f"{path}: {exc}") from exc
 
 
 def write_signal_csv(path, signal):
@@ -161,12 +170,7 @@ def _parse_rows(path, lines, width):
 
 def read_signal_csv(path):
     """Parse the CSV dialect back into a signal, naming bad lines."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SignalFormatError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SignalFormatError(f"{path}: {exc}") from exc
+    text = _read_text(path)
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# rate="):
         raise SignalFormatError(f"{path}: line 1: expected '# rate=<Hz>' header")
@@ -216,12 +220,8 @@ def write_keyvalues(path, pairs):
 
 def read_manifest(path):
     """Flat key=value text back into a dict of strings."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SignalFormatError(f"{path}: {exc}") from exc
     out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         if "=" not in line:
@@ -492,9 +492,7 @@ def main(argv=None):
             return cmd_despike(args.input, config)
         if args.command == "map":
             return cmd_map(args.input, config)
-        if args.command == "bench":
-            return cmd_bench(config)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_bench(config)
     except despike.NoDetectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_DETECTION
@@ -506,7 +504,6 @@ def main(argv=None):
         where = f" ({target})" if target else ""
         print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return EXIT_INVALID
-    return EXIT_OK
 
 
 if __name__ == "__main__":

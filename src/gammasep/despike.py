@@ -33,13 +33,17 @@ every maximum is in the arc, so the centre is the full-length rule's
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backends import circular_conv
-from .signal_core import TimeWindow, ms_to_samples, oscillation_duration_ms
+from .signal_core import (
+    TimeWindow,
+    ms_to_samples,
+    oscillation_duration_ms,
+    require_positive,
+)
 from .swt import (
     WaveletCoefficients,
     iswt_reconstruct,
@@ -75,10 +79,7 @@ def mask_geometry(target_freq_hz):
     55 -> (180 ms, 2), 85 -> (150 ms, 2); other frequencies get 9 cycles
     and 2 scales.
     """
-    if not 0 < target_freq_hz < math.inf:
-        raise ValueError(
-            f"target_freq_hz must be positive and finite, got {target_freq_hz}"
-        )
+    require_positive("target_freq_hz", target_freq_hz)
     duration_ms = oscillation_duration_ms(target_freq_hz)
     n_scales = 3 if float(target_freq_hz) == 45.0 else 2
     return duration_ms, n_scales

@@ -1,13 +1,20 @@
-"""Shared containers and windowing helpers for multichannel recordings.
+"""Shared containers, windowing helpers and argument checks.
 
 Everything downstream works on :class:`MultiChannelSignal` (channel-major
 float64 samples plus a rate and labels) and :class:`TimeWindow` (a start and
 length in samples). Both are immutable after construction.
+
+This module imports no other gammasep module, so it is the one home of the
+argument checks every other module calls: `require_positive` for a rate,
+frequency, duration, width or dilation, `require_integer` and
+`require_number` for a setting, and `number_tuple` for a list of numbers.
+Each raises naming the argument it refuses. None of them is a package name.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +30,42 @@ __all__ = [
 _EVENT_DURATIONS_MS = {45.0: 200.0, 55.0: 180.0, 85.0: 150.0}
 
 
+def require_positive(key, value):
+    """Raise ValueError unless `value` is positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{key} must be positive and finite, got {value}")
+
+
+def require_integer(key, value, minimum=1):
+    """Raise unless `value` is an integer (not a bool) of at least `minimum`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{key} must be >= {minimum}, got {value}")
+
+
+def require_number(key, value):
+    """Raise unless `value` is a finite real number (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{key} is too large for a float") from None
+    if not finite:
+        raise ValueError(f"{key} must be finite, got {value!r}")
+
+
+def number_tuple(key, value):
+    """`value`, a list or tuple of finite real numbers, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{key} must be a list, got {value!r}")
+    value = tuple(value)
+    for v in value:
+        require_number(f"each {key} entry", v)
+    return value
+
+
 def ms_to_samples(duration_ms, sample_rate_hz):
     """Convert a duration in milliseconds to a sample count.
 
@@ -31,12 +74,8 @@ def ms_to_samples(duration_ms, sample_rate_hz):
     be 0 for sub-sample durations, which window construction rejects
     downstream.
     """
-    if not 0 < duration_ms < math.inf:
-        raise ValueError(f"duration_ms must be positive and finite, got {duration_ms}")
-    if not 0 < sample_rate_hz < math.inf:
-        raise ValueError(
-            f"sample_rate_hz must be positive and finite, got {sample_rate_hz}"
-        )
+    require_positive("duration_ms", duration_ms)
+    require_positive("sample_rate_hz", sample_rate_hz)
     samples = duration_ms * sample_rate_hz / 1000.0
     if samples == math.inf:
         raise ValueError(
@@ -53,8 +92,7 @@ def oscillation_duration_ms(freq_hz):
     180 and 150 ms. Any other positive finite frequency falls back to 9
     cycles.
     """
-    if not 0 < freq_hz < math.inf:
-        raise ValueError(f"freq_hz must be positive and finite, got {freq_hz}")
+    require_positive("freq_hz", freq_hz)
     duration = _EVENT_DURATIONS_MS.get(float(freq_hz))
     if duration is None:
         duration = 9.0 * 1000.0 / freq_hz
@@ -65,18 +103,14 @@ def oscillation_duration_ms(freq_hz):
 
 @dataclass(frozen=True)
 class TimeWindow:
-    """Half-open sample range [start, start + length)."""
+    """Half-open sample range [start, start + length) of whole samples."""
 
     start_sample: int
     length_samples: int
 
     def __post_init__(self):
-        if self.start_sample < 0:
-            raise ValueError(f"start_sample must be >= 0, got {self.start_sample}")
-        if self.length_samples < 1:
-            raise ValueError(
-                f"length_samples must be >= 1, got {self.length_samples}"
-            )
+        require_integer("start_sample", self.start_sample, minimum=0)
+        require_integer("length_samples", self.length_samples)
 
     @property
     def end_sample(self):
@@ -111,10 +145,7 @@ class MultiChannelSignal:
     data: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ValueError(
-                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
-            )
+        require_positive("sample_rate_hz", self.sample_rate_hz)
         arr = np.array(self.data, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise ValueError(f"data must be 2-D (channels x samples), got {arr.ndim}-D")

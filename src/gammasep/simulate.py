@@ -22,7 +22,11 @@ from .signal_core import (
     MultiChannelSignal,
     TimeWindow,
     ms_to_samples,
+    number_tuple,
     oscillation_duration_ms,
+    require_integer,
+    require_number,
+    require_positive,
 )
 
 __all__ = [
@@ -49,36 +53,6 @@ class OverlapRegime(enum.Enum):
     SEPARATED = "separated"
     OVERLAPPED = "overlapped"
     FULLY_OVERLAPPED = "fully_overlapped"
-
-
-def require_integer(key, value, minimum=1):
-    """Raise unless `value` is an integer (not a bool) of at least `minimum`."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{key} must be >= {minimum}, got {value}")
-
-
-def require_number(key, value):
-    """Raise unless `value` is a finite real number (not a bool)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        raise ValueError(f"{key} is too large for a float") from None
-    if not finite:
-        raise ValueError(f"{key} must be finite, got {value!r}")
-
-
-def number_tuple(key, value):
-    """`value`, a list or tuple of finite real numbers, as a tuple."""
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"{key} must be a list, got {value!r}")
-    value = tuple(value)
-    for v in value:
-        require_number(f"each {key} entry", v)
-    return value
 
 
 @dataclass(frozen=True)
@@ -203,8 +177,8 @@ def gen_gamma_burst(freq_hz, duration_ms, amplitude_uv, sample_rate_hz):
     The taper starts and ends at zero, so the burst is exactly zero outside
     its own support.
     """
-    if duration_ms <= 0:
-        raise ValueError("duration_ms must be positive")
+    require_positive("duration_ms", duration_ms)
+    require_positive("sample_rate_hz", sample_rate_hz)
     if not 0 < freq_hz < sample_rate_hz / 2.0:
         raise ValueError(
             f"freq_hz must lie below Nyquist ({sample_rate_hz / 2.0}), got {freq_hz}"
@@ -227,8 +201,7 @@ def gen_transient(width_ms, amplitude_uv, sample_rate_hz):
     to zero. The Gaussian spread is width/6, putting the support inside
     three standard deviations on each side.
     """
-    if width_ms <= 0:
-        raise ValueError("width_ms must be positive")
+    require_positive("width_ms", width_ms)
     n = ms_to_samples(width_ms, sample_rate_hz)
     if n == 0:
         return np.zeros(0)
@@ -249,8 +222,8 @@ def gen_colored_noise(n, exponent, rng_seed):
     exactly unit sample variance. The gains are built once per spectrum
     size and exponent and shared read-only.
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
+    require_integer("n", n)
+    require_number("exponent", exponent)
     rng = np.random.default_rng(rng_seed)
     white = rng.standard_normal(n)
     spectrum = np.fft.rfft(white)

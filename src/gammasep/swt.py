@@ -10,12 +10,12 @@ one filter bank built in, db4, is eight fixed scaling taps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backends import circular_conv
+from .signal_core import require_positive
 
 __all__ = [
     "FilterPair",
@@ -29,30 +29,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FilterPair:
-    """Analysis and synthesis FIR taps for one wavelet family.
+    """The four FIR filters of one orthonormal scaling filter.
 
-    dec_lo/dec_hi are the analysis (decomposition) filters, rec_lo/rec_hi
-    the matched synthesis pair. Construction runs a small round-trip and
-    rejects pairs that do not reconstruct.
+    ``scaling`` is the scaling filter h, a non-empty 1-D list of finite
+    taps. The synthesis pair is ``rec_lo = h`` and ``rec_hi[k] =
+    (-1)**k * h[K-1-k]`` for K taps, and the analysis pair
+    ``dec_lo``/``dec_hi`` is their reversal. All five arrays are read-only
+    float64. Construction runs a small round-trip and rejects a filter that
+    does not reconstruct.
     """
 
     name: str
-    dec_lo: np.ndarray
-    dec_hi: np.ndarray
-    rec_lo: np.ndarray
-    rec_hi: np.ndarray
+    scaling: np.ndarray
 
     def __post_init__(self):
-        for field in ("dec_lo", "dec_hi", "rec_lo", "rec_hi"):
-            taps = np.asarray(getattr(self, field), dtype=np.float64)
-            if taps.ndim != 1 or taps.size == 0:
-                raise ValueError(f"{field} must be a non-empty 1-D tap list")
-            if not np.all(np.isfinite(taps)):
-                raise ValueError(f"{field} contains non-finite taps")
-            taps.setflags(write=False)
-            object.__setattr__(self, field, taps)
-        if len({t.size for t in (self.dec_lo, self.dec_hi, self.rec_lo, self.rec_hi)}) != 1:
-            raise ValueError("all four tap lists must share one length")
+        h = np.array(self.scaling, dtype=np.float64)
+        if h.ndim != 1 or h.size == 0 or not np.isfinite(h).all():
+            raise ValueError(
+                f"scaling must be a non-empty 1-D list of finite taps, got {h}"
+            )
+        rec_hi = np.array([(-1) ** k for k in range(h.size)]) * h[::-1]
+        taps = {
+            "scaling": h,
+            "dec_lo": h[::-1].copy(),
+            "dec_hi": rec_hi[::-1].copy(),
+            "rec_lo": h,
+            "rec_hi": rec_hi,
+        }
+        for field, values in taps.items():
+            values.setflags(write=False)
+            object.__setattr__(self, field, values)
         probe = np.cos(np.arange(32) * 0.7) + 0.3 * np.sin(np.arange(32) * 2.1)
         coeffs = swt_decompose(probe, self, 1)
         back = iswt_reconstruct(coeffs, self)
@@ -64,21 +70,7 @@ class FilterPair:
 
     @property
     def length(self):
-        return self.dec_lo.size
-
-    @classmethod
-    def from_scaling(cls, name, scaling):
-        """Derive all four filters from an orthonormal scaling filter."""
-        h = np.asarray(scaling, dtype=np.float64)
-        rec_lo = h
-        rec_hi = np.array([(-1) ** k for k in range(h.size)]) * h[::-1]
-        return cls(
-            name=name,
-            dec_lo=rec_lo[::-1].copy(),
-            dec_hi=rec_hi[::-1].copy(),
-            rec_lo=rec_lo.copy(),
-            rec_hi=rec_hi.copy(),
-        )
+        return self.scaling.size
 
 
 # Daubechies' 8-tap minimum-phase orthonormal scaling filter, orthonormal
@@ -103,7 +95,7 @@ def wavelet_filters(name="db4"):
     """
     if name != "db4":
         raise ValueError(f"unknown wavelet {name!r}; only 'db4' is built in")
-    return FilterPair.from_scaling("db4", _DB4_SCALING)
+    return FilterPair("db4", _DB4_SCALING)
 
 
 @dataclass(frozen=True)
@@ -192,10 +184,7 @@ def iswt_reconstruct(coeffs, filters):
 
 def level_for_frequency(freq_hz, sample_rate_hz):
     """Detail level whose band [fs/2^(j+1), fs/2^j) contains the frequency."""
-    if not 0 < sample_rate_hz < math.inf:
-        raise ValueError(
-            f"sample_rate_hz must be positive and finite, got {sample_rate_hz}"
-        )
+    require_positive("sample_rate_hz", sample_rate_hz)
     nyquist = sample_rate_hz / 2.0
     if not 0 < freq_hz < nyquist:
         raise ValueError(

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import centered_conv, centered_conv_complex
-from .signal_core import MultiChannelSignal, ms_to_samples
+from .signal_core import MultiChannelSignal, ms_to_samples, require_positive
 
 __all__ = [
     "BuildupDetection",
@@ -123,8 +123,8 @@ def scales_for_band(band_hz, sample_rate_hz):
     Both endpoints are included when they are whole numbers of Hz.
     """
     low, high = band_hz
-    if not 0 < low < high:
-        raise ValueError(f"band must satisfy 0 < low < high, got {band_hz}")
+    if not 0 < low < high < math.inf:
+        raise ValueError(f"band must satisfy 0 < low < high < inf, got {band_hz}")
     freqs = np.arange(math.ceil(low), math.floor(high) + 1, dtype=np.float64)
     if freqs.size == 0:
         freqs = np.array([(low + high) / 2.0])
@@ -139,15 +139,12 @@ class MorletParams:
     scales: tuple
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ValueError(
-                f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}"
-            )
+        require_positive("sample_rate_hz", self.sample_rate_hz)
         scales = tuple(float(a) for a in self.scales)
-        if not scales or not all(0 < a < math.inf for a in scales):
-            raise ValueError(
-                f"scales must be a non-empty list of finite positive reals, got {scales}"
-            )
+        if not scales:
+            raise ValueError("scales must be a non-empty list of dilations")
+        for a in scales:
+            require_positive("scales", a)
         object.__setattr__(self, "scales", scales)
 
     @classmethod
@@ -170,8 +167,7 @@ def morlet_kernel(a):
     a*MORLET_S, scaled by 1/a, truncated where the envelope drops below
     1e-6 of its peak.
     """
-    if a <= 0:
-        raise ValueError(f"dilation must be positive, got {a}")
+    require_positive("dilation", a)
     radius = _morlet_radius(a)
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     u = t / a
@@ -237,10 +233,7 @@ def bandpass_taps(band_hz, sample_rate_hz):
     are read-only.
     """
     low, high = band_hz
-    if not 0 < sample_rate_hz < math.inf:
-        raise ValueError(
-            f"sample_rate_hz must be positive and finite, got {sample_rate_hz}"
-        )
+    require_positive("sample_rate_hz", sample_rate_hz)
     nyquist = sample_rate_hz / 2.0
     if not 0 < low < high < nyquist:
         raise ValueError(
@@ -359,10 +352,7 @@ class SpatioTemporalMap:
     sample_rate_hz: float
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ValueError(
-                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
-            )
+        require_positive("sample_rate_hz", self.sample_rate_hz)
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("values must be 2-D (channels x samples)")

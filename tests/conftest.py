@@ -29,7 +29,7 @@ def db4():
 
 @pytest.fixture(scope="session")
 def haar():
-    return FilterPair.from_scaling("haar", np.array([1.0, 1.0]) / np.sqrt(2.0))
+    return FilterPair("haar", np.array([1.0, 1.0]) / np.sqrt(2.0))
 
 
 @pytest.fixture(scope="session")

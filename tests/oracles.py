@@ -79,7 +79,7 @@ def random_orthonormal_filters(n_taps, seed):
 
     angles = np.random.default_rng(seed).uniform(-math.pi, math.pi, n_taps // 2 - 1)
     angles = [*angles, math.pi / 4 - angles.sum()]
-    return FilterPair.from_scaling(f"lattice{n_taps}", lattice_scaling(angles))
+    return FilterPair(f"lattice{n_taps}", lattice_scaling(angles))
 
 
 # a random orthonormal filter pair of any length in FILTER_LENGTHS
@@ -319,6 +319,22 @@ def placed_burst(truth_channel, config):
     start = truth_channel.burst_window.start_sample
     out[start:start + burst.size] = burst
     return out
+
+
+# where ROADMAP item 8's recordings place their burst, in 5000 samples
+EDGE_STARTS = (0, 30, 100, 300, 4800)
+
+
+def edge_recording(freq_hz, start):
+    """5000 samples at 512 Hz: 1/f noise of standard deviation 5 uV and one
+    150 ms, 50 uV burst at freq_hz from sample `start`, built with the
+    simulate generators."""
+    from gammasep.simulate import gen_colored_noise, gen_gamma_burst
+
+    x = 5.0 * gen_colored_noise(5000, 1.0, 7)
+    burst = gen_gamma_burst(freq_hz, 150.0, 50.0, 512.0)
+    x[start : start + burst.size] += burst
+    return x
 
 
 def full_map_row(x, band_hz, params):

@@ -732,6 +732,12 @@ def test_signal_file_that_is_not_utf8_exits_invalid_naming_it(tmp_path, capsys, 
     ]
 
 
+def test_manifest_that_cannot_be_read_is_refused_naming_it(tmp_path):
+    for path in (tmp_path / "missing.manifest", tmp_path):
+        with pytest.raises(SignalFormatError, match=f"^{re.escape(str(path))}: "):
+            read_manifest(path)
+
+
 def test_manifest_that_is_not_utf8_is_refused_naming_it(tmp_path):
     path = tmp_path / "bad.manifest"
     path.write_bytes(b"realization=0\nch1.burst_freq_hz=\xff\n")

@@ -23,8 +23,10 @@ from gammasep.signal_core import TimeWindow, oscillation_duration_ms
 from gammasep.swt import WaveletCoefficients, swt_decompose, wavelet_filters
 from frozen import RESEPARATION_ENERGY_FRACTION
 from oracles import (
+    EDGE_STARTS,
     FILTER_LENGTHS,
     box_peak_center,
+    edge_recording,
     full_separate,
     orthonormal_filters,
     pearson,
@@ -577,6 +579,39 @@ class TestSupportLocalSynthesis:
         support = np.flatnonzero(result.oscillatory)
         assert window.start_sample - 217 <= support[0]
         assert support[-1] < window.end_sample
+
+
+
+class TestRecordingEdges:
+    """ROADMAP item 8: one burst at either end of a 5000-sample recording.
+
+    The crop is exact at the ends as well. The boundary rule pinned here is
+    the current one and is item 8's open decision: periodic boundaries wrap
+    the oscillatory crop's reach (217 samples before the window for db4
+    over 5 levels) to the far end when the window starts within it of
+    sample 0, so a burst at 0, 30 or 100 leaves oscillatory samples at the
+    recording's other end; the reach points backwards only, so a burst at
+    4800 does not wrap.
+    """
+
+    @pytest.mark.parametrize("start", EDGE_STARTS)
+    @pytest.mark.parametrize("freq", [45.0, 55.0, 85.0])
+    def test_split_is_the_full_synthesis_and_wraps_only_near_zero(
+        self, db4, freq, start
+    ):
+        x = edge_recording(freq, start)
+        result = assert_matches_full_synthesis(x, freq, db4)
+        recombined = result.oscillatory + result.transient
+        assert np.max(np.abs(recombined - x)) <= 1e-9 * np.max(np.abs(x))
+        window = result.mask_used.window
+        reach = (db4.length - 1) * (2**5 - 1)
+        assert reach == 217
+        inside = np.zeros(x.size, dtype=bool)
+        inside[np.arange(window.start_sample - reach, window.end_sample)] = True
+        assert not result.oscillatory[~inside].any()
+        wraps = start in (0, 30, 100)
+        assert (window.start_sample < reach) == wraps
+        assert result.oscillatory[window.end_sample :].any() == wraps
 
 
 def test_harder_overlap_regimes_separate_worse():

@@ -10,7 +10,22 @@ from gammasep.signal_core import (
     TimeWindow,
     ms_to_samples,
     oscillation_duration_ms,
+    require_positive,
 )
+
+
+class TestRequirePositive:
+    @pytest.mark.parametrize("good", [1e-320, 1, 512.0, 1.7976931348623157e308])
+    def test_accepts_positive_finite_values(self, good):
+        require_positive("rate", good)
+
+    @pytest.mark.parametrize(
+        "bad", [0, -0.0, -1.0, math.nan, math.inf, -math.inf, np.nan, np.float32(np.inf)]
+    )
+    def test_refuses_naming_the_argument(self, bad):
+        with pytest.raises(ValueError) as info:
+            require_positive("rate", bad)
+        assert str(info.value) == f"rate must be positive and finite, got {bad}"
 
 
 class TestMsToSamples:
@@ -84,6 +99,14 @@ class TestTimeWindow:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             TimeWindow(0, 0)
+
+    @pytest.mark.parametrize("start, length", [(0.5, 3), (True, 3), (2, 3.0), (2, "3")])
+    def test_rejects_a_bound_that_is_not_an_integer(self, start, length):
+        with pytest.raises(TypeError, match="must be an integer"):
+            TimeWindow(start, length)
+
+    def test_accepts_numpy_integers(self):
+        assert TimeWindow(np.int64(2), np.int32(3)).end_sample == 5
 
     def test_check_within(self):
         TimeWindow(0, 10).check_within(10)

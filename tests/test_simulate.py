@@ -50,6 +50,8 @@ class TestGammaBurst:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             gen_gamma_burst(45.0, 0.0, 50.0, 512.0)
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            gen_gamma_burst(45.0, 100.0, 50.0, math.nan)
         with pytest.raises(ValueError):
             gen_gamma_burst(300.0, 100.0, 50.0, 512.0)  # above Nyquist
         with pytest.raises(ValueError):
@@ -82,6 +84,11 @@ class TestTransient:
         with pytest.raises(ValueError):
             gen_transient(0.0, 100.0, 512.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_width_that_is_not_finite_naming_it(self, bad):
+        with pytest.raises(ValueError, match="width_ms must be positive and finite"):
+            gen_transient(bad, 100.0, 512.0)
+
 
 class TestColoredNoise:
     def test_deterministic_per_seed(self):
@@ -110,6 +117,11 @@ class TestColoredNoise:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             gen_colored_noise(0, 1.0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_an_exponent_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            gen_colored_noise(100, bad, 0)
 
     @pytest.mark.parametrize("n, exponent", [(5000, 1.0), (30720, 1.0), (999, 2.0)])
     def test_shared_gains_give_the_per_call_noise(self, n, exponent):

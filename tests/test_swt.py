@@ -1,5 +1,6 @@
 """Tests for the undecimated wavelet transform and its inverse."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from oracles import (
     loop_conv,
     orthonormal_filters,
     random_orthonormal_filters,
+    same_bits,
     stuffed_filter,
 )
 
@@ -72,25 +74,32 @@ class TestFilterFamilies:
             wavelet_filters(name)
 
     def test_broken_pair_fails_roundtrip_probe(self):
-        good = wavelet_filters("db4")
+        # twice an orthonormal filter reconstructs four times its input
         with pytest.raises(ValueError, match="reconstruction"):
-            FilterPair(
-                name="broken",
-                dec_lo=good.dec_lo,
-                dec_hi=good.dec_hi,
-                rec_lo=good.rec_lo[::-1],
-                rec_hi=good.rec_hi,
-            )
+            FilterPair(name="broken", scaling=2.0 * np.array(DB4_SCALING))
+
+    def test_four_read_only_filters_derive_from_the_scaling_filter(self, haar):
+        assert [f.name for f in dataclasses.fields(FilterPair)] == ["name", "scaling"]
+        h = np.array(DB4_SCALING)
+        pair = FilterPair("tabulated", DB4_SCALING)
+        signs = (-1.0) ** np.arange(h.size)
+        assert same_bits(pair.rec_lo, h)
+        assert same_bits(pair.rec_hi, signs * h[::-1])
+        assert same_bits(pair.dec_lo, h[::-1])
+        assert same_bits(pair.dec_hi, (signs * h[::-1])[::-1])
+        assert pair.length == 8 and haar.length == 2
+        for taps in (pair.scaling, pair.dec_lo, pair.dec_hi, pair.rec_lo, pair.rec_hi):
+            with pytest.raises(ValueError):
+                taps[0] = 0.0
+
+    @pytest.mark.parametrize("bad", [[], [[1.0, 1.0]], 1.0])
+    def test_rejects_a_scaling_filter_that_is_not_a_tap_list(self, bad):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            FilterPair(name="bad", scaling=bad)
 
     def test_rejects_nonfinite_taps(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            FilterPair(
-                name="nan",
-                dec_lo=[np.nan, 1.0],
-                dec_hi=[1.0, -1.0],
-                rec_lo=[1.0, 1.0],
-                rec_hi=[1.0, -1.0],
-            )
+        with pytest.raises(ValueError, match="finite taps"):
+            FilterPair(name="nan", scaling=[np.nan, 1.0])
 
 
 class TestDecompose:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -41,6 +42,8 @@ from gammasep.tfmap import (
 from gammasep.simulate import NOISE_EXPONENT
 from frozen import NOISE_MAP_MAX_OVER_MEDIAN
 from oracles import (
+    EDGE_STARTS,
+    edge_recording,
     first_sustained_run,
     fresh_map_row,
     full_map_row,
@@ -81,6 +84,11 @@ class TestScales:
             scales_for_band((90.0, 80.0), FS)
         with pytest.raises(ValueError):
             scales_for_band((0.0, 80.0), FS)
+
+    @pytest.mark.parametrize("band", [(80.0, math.inf), (math.nan, 90.0), (80.0, math.nan)])
+    def test_rejects_a_band_edge_that_is_not_finite_naming_the_band(self, band):
+        with pytest.raises(ValueError, match=re.escape(f"got {band}")):
+            scales_for_band(band, FS)
 
 
 class TestMorletParams:
@@ -130,6 +138,11 @@ class TestMorletKernel:
     def test_rejects_nonpositive_dilation(self):
         with pytest.raises(ValueError):
             morlet_kernel(0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_dilation_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match="dilation must be positive and finite"):
+            morlet_kernel(bad)
 
 
 class TestMorletTransform:
@@ -564,6 +577,20 @@ class TestSupportLocalRow:
         x[1, 500] = 1.0
         with pytest.raises(ValueError, match="non-empty 1-D"):
             map_row(x, BAND, params)
+
+    @pytest.mark.parametrize("start", EDGE_STARTS)
+    @pytest.mark.parametrize(
+        "freq, band", [(45.0, (40.0, 50.0)), (55.0, (50.0, 60.0)), (85.0, BAND)]
+    )
+    def test_matches_the_full_row_near_a_recording_edge(self, freq, band, start):
+        """ROADMAP item 8's recordings: a burst at either end, raw and
+        despiked. A despiked burst near sample 0 wraps to the far end (see
+        test_despike's TestRecordingEdges), and its crop is the whole row."""
+        x = edge_recording(freq, start)
+        params = MorletParams.for_band(band, FS)
+        despiked = g.separate(x, freq, FS).oscillatory
+        for row in (x, despiked):
+            assert same_bits(map_row(row, band, params), full_map_row(row, band, params))
 
 
 ORACLE_BANDS = [(80.0, 90.0), (40.0, 50.0), (10.0, 15.0), (1.0, 5.0)]

@@ -3,20 +3,22 @@
 Signals travel as a small CSV dialect in UTF-8: a `# rate=<Hz>` line, a
 line of comma-separated channel labels, then one row per sample with one
 value per channel. Values are written as Python's `repr` writes a float, the
-shortest decimal that reads back to the same bits, and read as `float()`
-reads them (surrounding whitespace, `1_000`, `nan` and `inf` included; a
-non-finite value is then refused, naming its line). Blank body lines are
-skipped but still counted in the line numbers of error messages. A label may
-not hold a comma or a line break, nor start or end with whitespace:
-`write_signal_csv` refuses one that would not read back as itself. Ground
-truth and detections are flat key=value text, maps additionally render to an
-ASCII grayscale PGM; every file is UTF-8. All commands are deterministic
-given their config and seed.
+shortest decimal that reads back to the same bits; a run of silent lines,
+every value +0.0, is written as one repeated line of those same bytes.
+Values are read as `float()` reads them (surrounding whitespace, `1_000`,
+`nan` and `inf` included; a non-finite value is then refused, naming its
+line). Blank body lines are skipped but still counted in the line numbers of
+error messages. A label may not hold a comma or a line break, nor start or
+end with whitespace: `write_signal_csv` refuses one that would not read back
+as itself. Ground truth and detections are flat key=value text, maps
+additionally render to an ASCII grayscale PGM; every file is UTF-8. All
+commands are deterministic given their config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields, replace
@@ -127,6 +129,10 @@ def _read_text(path):
 def write_signal_csv(path, signal):
     """Signal to CSV with full-precision (round-trip exact) values.
 
+    Each value costs one `%r` conversion, except on silent lines, where every
+    channel is exactly +0.0: a run of those is one repeated constant line,
+    the same bytes `%r` gives. A body without one is one template call.
+
     Raises ValueError, before the file is opened, for a channel label that
     would not read back as itself: one that holds a comma or a line break,
     or starts or ends with whitespace.
@@ -138,11 +144,25 @@ def write_signal_csv(path, signal):
                 "may not hold a comma or a line break, nor start or end with "
                 "whitespace"
             )
-    n_ch, n = signal.data.shape
+    data = signal.data
+    n_ch, n = data.shape
     row = ",".join(["%r"] * n_ch) + "\n"
-    body = row * n % tuple(signal.data.T.ravel().tolist())
+    # +0.0 is the one float64 whose bits are all zero, so a line is silent
+    # when no channel has a bit set; -0.0 has its sign bit and is written by
+    # %r. The edges of the silent runs split the body into live, silent,
+    # live, ..., live stretches; a live stretch at either end may be empty.
+    silent = ~data.view(np.uint64).any(axis=0)
+    edges = np.flatnonzero(np.diff(silent, prepend=False, append=False)).tolist()
+    bounds = [0, *edges, n]
+    silent_line = row % ((0.0,) * n_ch)
     header = f"# rate={signal.sample_rate_hz!r}\n" + ",".join(signal.channel_labels)
-    Path(path).write_text(header + "\n" + body, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(header + "\n")
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if i % 2:
+                out.write(silent_line * (b - a))
+            else:
+                out.write(row * (b - a) % tuple(data[:, a:b].T.ravel().tolist()))
 
 
 def _parse_rows(path, lines, width):
@@ -425,7 +445,10 @@ def _parse_freqs(text):
         raise argparse.ArgumentTypeError(f"unreadable frequency list {text!r}") from None
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and shared by every
+    `main` call; parsing leaves it as it was, so do not change it."""
     parser = argparse.ArgumentParser(
         prog="gammasep",
         description="separate gamma oscillations from transients, map band "

@@ -31,8 +31,19 @@ _EVENT_DURATIONS_MS = {45.0: 200.0, 55.0: 180.0, 85.0: 150.0}
 
 
 def require_positive(key, value):
-    """Raise ValueError unless `value` is positive and finite."""
-    if not 0 < value < math.inf:
+    """Raise ValueError unless `value` is positive and finite as a float.
+
+    An integer too large for a float is refused here, not where it is first
+    converted and overflows.
+    """
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(
+            f"{key} must be positive and finite, got an integer too large "
+            "for a float"
+        ) from None
+    if not (finite and value > 0):
         raise ValueError(f"{key} must be positive and finite, got {value}")
 
 

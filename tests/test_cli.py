@@ -25,6 +25,7 @@ from gammasep.cli import (
     PGM_TIME_BIN,
     RunConfig,
     SignalFormatError,
+    build_parser,
     load_config,
     main,
     read_manifest,
@@ -464,12 +465,40 @@ class TestCsvLabels:
         assert read_signal_csv(path).channel_labels == signal.channel_labels
 
 
+@st.composite
+def bodies_with_silent_runs(draw):
+    """Channels x samples built from runs of silent lines (every value +0.0)
+    and runs of live lines, whose values include +0.0 and -0.0."""
+    n_ch = draw(st.integers(1, 4))
+    live_values = st.one_of(csv_values(), st.sampled_from([0.0, -0.0]))
+    runs = []
+    for silent in draw(st.lists(st.booleans(), min_size=1, max_size=8)):
+        if silent:
+            runs.append(np.zeros((n_ch, draw(st.integers(1, 80)))))
+        else:
+            shape = (n_ch, draw(st.integers(1, 12)))
+            runs.append(draw(arrays(np.float64, shape, elements=live_values)))
+    return np.hstack(runs)
+
+
 class TestWritersMatchThePerValueReferences:
-    @settings(deadline=None, max_examples=100,
+    @settings(deadline=None, max_examples=200,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.integers(1, 8).flatmap(
-        lambda n_ch: st.integers(1, 25).flatmap(
-            lambda n: arrays(np.float64, (n_ch, n), elements=csv_values()))))
+    @given(st.one_of(
+        st.integers(1, 8).flatmap(
+            lambda n_ch: st.integers(1, 25).flatmap(
+                lambda n: arrays(np.float64, (n_ch, n), elements=csv_values()))),
+        bodies_with_silent_runs(),
+    ))
+    # all silent; none silent; silent head; silent tail; one channel; and
+    # lines mixing -0.0 with +0.0, which are not silent
+    @example(np.zeros((3, 40)))
+    @example(np.arange(1.0, 21.0).reshape(2, 10))
+    @example(np.hstack([np.zeros((2, 30)), np.ones((2, 3))]))
+    @example(np.hstack([np.full((2, 3), 0.5), np.zeros((2, 30))]))
+    @example(np.array([[0.0, 0.0, 1.5, 0.0, -0.0, 0.0, 0.0, 2.0, 0.0]]))
+    @example(np.array([[0.0, -0.0, 0.0, 0.0, -0.0, 0.0],
+                       [-0.0, 0.0, 0.0, 0.0, -0.0, 0.0]]))
     def test_signal_csv_bytes(self, tmp_path, data):
         signal = MultiChannelSignal(
             FS, tuple(f"ch{i + 1}" for i in range(data.shape[0])), data
@@ -661,6 +690,39 @@ class TestCsvReaderPaths:
         else:
             assert expected is not None
             assert same_bits(np.ascontiguousarray(back.data), expected.copy())
+
+
+def test_shared_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    # valid, then invalid at the parser and after it, then other commands
+    source = str(tmp_path / "sim" / "realization_000.csv")
+    calls = [
+        ["simulate", "--realizations", "1", "--out", str(tmp_path / "sim")],
+        ["map", source, "--band", "80"],
+        ["despike", str(tmp_path / "missing.csv")],
+        ["despike"],
+        ["map", source, "--band", "80:90", "--out", str(tmp_path / "map")],
+        ["bench", "--realizations", "1"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    assert build_parser() is build_parser()
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 2, 2, 0, 2]
+    assert "argument --band: band must look like LO:HI" in shared[1][2]
+    assert "missing.csv" in shared[2][2]
+    assert "required: input" in shared[3][2]
+    assert "unrecognized arguments: --realizations" in shared[5][2]
 
 
 _ENCODING_CHAIN_SCRIPT = """

@@ -27,6 +27,13 @@ class TestRequirePositive:
             require_positive("rate", bad)
         assert str(info.value) == f"rate must be positive and finite, got {bad}"
 
+    @pytest.mark.parametrize("huge", [10**400, -(10**400)])
+    def test_refuses_an_integer_too_large_for_a_float_naming_it(self, huge):
+        # 10**400 compares below math.inf, but float() of it overflows
+        with pytest.raises(ValueError, match="^x must be positive and finite, got "
+                           "an integer too large for a float$"):
+            require_positive("x", huge)
+
 
 class TestMsToSamples:
     def test_exact_conversion(self):
@@ -57,6 +64,10 @@ class TestMsToSamples:
     def test_rejects_non_finite_rate(self, bad_rate):
         with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
             ms_to_samples(150.0, bad_rate)
+
+    def test_rejects_a_duration_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match="duration_ms must be positive and finite"):
+            ms_to_samples(10**400, 512.0)
 
     def test_rejects_an_overflowing_sample_count(self):
         # 150 * 1e308 is inf, which round() cannot make an int of

@@ -1,16 +1,17 @@
 """Numeric convolution kernels shared by the wavelet and mapping chains.
 
-The circular kernel builds one wrap-padded copy of the input per call,
-multiplies it by the taps, and sums each tap's slice of the products in
-ascending tap order from +0.0, so its output is reproducible to the bit.
-A call whose tap products fit PRODUCT_BUDGET makes them all in one numpy
-call and sums them in one ordered reduction; a longer one, whose product
-matrix would leave the L2 cache, multiplies each tap's slice of the copy
-into one buffer and adds it to the sum, one tap at a time. The real
-centered kernel rides ``np.convolve``. The complex one applies a bank of
-kernels as one matrix product: every output sample is the dot of the same
-input window with the same tap column, wherever the sample sits in the
-input.
+The circular kernel builds one wrap-padded copy of the input per call and
+adds each tap's product with its slice of the copy to a sum that starts
+at +0.0, in ascending tap order, so its output is reproducible to the
+bit. One ``np.einsum`` over a sheared view of the copy makes each tap's
+multiply-adds in one pass (db4 at stride 2 on 30720 samples: about 195
+against 300 us per call for a multiply pass and an add pass per tap, on a
+2-vCPU host); a single output sample, and a numpy build whose einsum
+fuses them (a probe at import decides), take that per-tap loop instead.
+The real centered kernel rides ``np.convolve``. The complex one applies a
+bank of kernels as one matrix product: every output sample is the dot of
+the same input window with the same tap column, wherever the sample sits
+in the input.
 """
 
 from __future__ import annotations
@@ -31,11 +32,56 @@ BLOCK_BYTES = 256 * 1024
 # it sits in the input and whichever bank its kernel belongs to
 BLOCK_ALIGN = 64
 BANK_WIDTH = 12
-# elements (512 KiB) of the tap-by-input product that circular_conv makes
-# in one call. The crossover for db4's 8 taps lies between 8192 and 16384
-# samples; at 30720 the one product is slower than the per-run loop
-# (201 against 116 us per call, 2-vCPU host) because it leaves L2
-PRODUCT_BUDGET = 2**16
+
+
+def _einsum_sum(xp, taps, n, stride):
+    """The einsum sum of :func:`circular_conv` over its wrap-padded copy xp."""
+    k, step = taps.shape[0], xp.itemsize
+    rows = np.ndarray(
+        (k, n), xp.dtype, xp, (k - 1) * stride * step, (-stride * step, step)
+    )
+    rows.flags.writeable = False
+    return np.einsum("k,kn->n", taps, rows, order="F")
+
+
+def _loop_sum(xp, taps, n, stride):
+    """The same sum, one product and one sum of n samples per tap."""
+    span = (taps.shape[0] - 1) * stride
+    product = np.empty(n)
+    for m, tap in enumerate(taps.tolist()):
+        start = span - m * stride
+        np.multiply(xp[start : start + n], tap, out=product)
+        if m == 0:
+            y = product + 0.0
+        else:
+            y += product
+    return y
+
+
+# every sample of the rounding probe, and its two taps
+PROBE_SAMPLE = 1.0 + 2.0**-30
+PROBE_TAPS = (-1.0, 1.0 - 2.0**-30)
+
+
+def _einsum_rounds_twice():
+    """Whether einsum rounds each product and each sum, as the loop does.
+
+    With every sample ``PROBE_SAMPLE = 1 + 2**-30`` and ``PROBE_TAPS``, the
+    second product ``1 - 2**-60`` rounds to 1, so rounding twice gives
+    ``1 - (1 + 2**-30) = -2**-30``; a fused multiply-add (numpy's NEON
+    ``npyv_muladd`` on aarch64, for one) keeps it and gives
+    ``-2**-30 - 2**-60``. 37 samples, an odd count past several vector
+    widths, reach both the vector body and the scalar tail.
+    """
+    xp = np.full(38, PROBE_SAMPLE)
+    taps = np.array(PROBE_TAPS)
+    return (
+        _einsum_sum(xp, taps, 37, 1).tobytes() == _loop_sum(xp, taps, 37, 1).tobytes()
+    )
+
+
+# decided once per process from the numpy build, not a setting
+EINSUM_ROUNDS_TWICE = _einsum_rounds_twice()
 
 
 def circular_conv(x, taps, stride=1):
@@ -48,23 +94,26 @@ def circular_conv(x, taps, stride=1):
     with its last ``span`` samples in front, ``xp[j] = x[(j - span) mod n]``,
     so tap m reads the slice ``xp[span - m*stride : span - m*stride + n]``.
     Taps wider than the signal (``span >= n``) wrap it more than once, and
-    the pad is then gathered modulo n. The slices are summed in ascending
-    tap order, starting from +0.0: every product and sum is the one that
-    adding each tap's own product to zeros would take, bit for bit, sign of
-    zero included. Two regimes, chosen from the sizes alone, do this:
+    the pad is then gathered modulo n. Each tap's product with its slice is
+    added to a sum that starts at +0.0, in ascending tap order, with the
+    product and the sum each rounded: every bit, sign of zero included, is
+    the one that adding each tap's own product to zeros would give.
 
-    - When the k rows of products, ``k * (n + span)`` elements, fit
-      PRODUCT_BUDGET, one ``np.multiply`` makes them all and one
-      ``np.add.reduce(..., axis=0, initial=0.0)`` sums a (k, n) view whose
-      row m starts at ``span - m*stride`` of product row m. Reducing over
-      the outer axis, numpy adds each row into the running sum in row
-      order. A single sample (n == 1) and a single tap stay on the loop:
-      numpy drops the length-1 output axis and sums the k products of one
-      sample pairwise, in another order, and with one tap the view's rows
-      would be shorter than n.
-    - Otherwise each tap multiplies its own n-sample slice of the copy
-      into one buffer, which is added to the sum: k products and k sums
-      of n samples.
+    One ``np.einsum("k,kn->n", taps, rows, order="F")`` does this, where
+    ``rows`` is a read-only view of the copy whose row m starts at
+    ``xp[span - m*stride]`` (row stride ``-stride`` samples, so no
+    product matrix is made). ``order="F"`` makes the output axis the inner
+    loop: for each tap in turn, einsum's contiguous kernel computes
+    ``out = tap * row + out`` in one pass over the n samples. Two cases
+    keep a loop that multiplies each tap's slice into one buffer and adds
+    it to the sum:
+
+    - one sample (n == 1): einsum then drops the output axis and sums the
+      k products with another kernel, in another order, and on AVX2 builds
+      with fused multiply-adds;
+    - a numpy build whose einsum fuses the multiply-add, rounding once.
+      ``EINSUM_ROUNDS_TWICE``, worked out at import from an input where
+      the two roundings differ, decides this; on x86-64 numpy rounds twice.
     """
     x = np.asarray(x, dtype=np.float64)
     taps = np.asarray(taps, dtype=np.float64)
@@ -87,20 +136,9 @@ def circular_conv(x, taps, stride=1):
         xp = np.concatenate((x[n - span :], x))
     else:
         xp = np.take(x, np.arange(-span, n), mode="wrap")
-    if n > 1 and k > 1 and k * xp.size <= PRODUCT_BUDGET:
-        # row m of the (k, n) view starts at span - m*stride of product row m
-        rows = np.multiply(taps[:, None], xp).reshape(-1)
-        rows = rows[span : span + k * (xp.size - stride)].reshape(k, -1)[:, :n]
-        return np.add.reduce(rows, axis=0, initial=0.0)
-    product = np.empty(n)
-    for m, tap in enumerate(taps.tolist()):
-        start = span - m * stride
-        np.multiply(xp[start : start + n], tap, out=product)
-        if m == 0:
-            y = product + 0.0
-        else:
-            y += product
-    return y
+    if n > 1 and EINSUM_ROUNDS_TWICE:
+        return _einsum_sum(xp, taps, n, stride)
+    return _loop_sum(xp, taps, n, stride)
 
 
 def centered_conv(x, taps):

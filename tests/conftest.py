@@ -12,7 +12,7 @@ from gammasep.swt import FilterPair, wavelet_filters
 # CI keeps no example database, so a failure there prints the blob that
 # replays it with @reproduce_failure; per-test @settings inherit this
 settings.register_profile("ci", print_blob=True)
-# the circular kernel's exactness rests on numpy's reduction order, so CI
+# the circular kernel's exactness rests on einsum's per-tap order, so CI
 # also runs tests/test_backends.py with `--hypothesis-profile=thorough`;
 # tests that set their own max_examples keep it
 settings.register_profile(

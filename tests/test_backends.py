@@ -1,6 +1,9 @@
 """Tests for the convolution kernels."""
 
+import platform
 import re
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,9 +115,16 @@ def tap_run_problems(draw):
 @example((np.array([-2.0, 1.0, 4.0]), np.array([1.0, 1.0, 2.0, -0.0, 0.0]), 5))
 @example((np.array([1.0, 2.0, 4.0]), np.array([1.5, -1.5, -1.5]), 1))
 @example((np.array([1.0, 3.0]), np.array([1.5, np.nextafter(1.5, 2.0)]), 1))
-# one sample: a (8, 1) product summed by np.add.reduce would go through
-# numpy's pairwise sum and give -4.44e-16, not the ordered sum's -6.66e-16
 @example((np.array([1.0]), np.linspace(-1.0, 1.0, 8), 1))
+# one sample: einsum would drop the output axis and sum the products with
+# another kernel, which fuses each multiply-add on AVX2 builds: [3.0] with
+# taps (1.5, 0.1) gives 0x1.3333333333334p+2, not 0x1.3333333333333p+2
+@example((np.array([3.0]), np.array([1.5, 0.1]), 0))
+@example((np.array([5.59220135e-251]), np.array([1.5, 1.5, 1.5]), 0))
+# stride 0: every row of einsum's view is the same samples; without
+# order="F" its iterator makes the tap axis the inner loop and sums the six
+# products in another order
+@example((np.ones(2), np.full(6, 0.1), 0))
 def test_shared_products_equal_rolled_copies_exactly(problem):
     x, taps, stride = problem
     assert same_bits(
@@ -133,23 +143,90 @@ def test_every_detection_box_width_equals_rolled_copies_exactly(rng, n, freq_hz)
         assert same_bits(backends.circular_conv(energy, box), roll_conv(energy, box))
 
 
-@pytest.mark.parametrize("above", [0, 1])
+@settings(deadline=None)
+@given(st.one_of(strided_problems(), tap_run_problems()))
+def test_loop_path_equals_rolled_copies_exactly(problem):
+    # the path of one sample, and of every call on a numpy build whose
+    # einsum fuses multiply-adds, run here on every n
+    x, taps, stride = problem
+    with mock.patch.object(backends, "EINSUM_ROUNDS_TWICE", False):
+        got = backends.circular_conv(x, taps, stride)
+    assert same_bits(got, roll_conv(x, taps, stride))
+
+
+def test_rounding_probe_tells_a_fused_multiply_add_apart():
+    # the second multiply-add of the probe, in exact rationals: the sum so
+    # far is -a (the first tap's product is exact), and rounding the product
+    # first gives another float than rounding product and sum once
+    a = Fraction(backends.PROBE_SAMPLE)
+    first, second = (Fraction(t) for t in backends.PROBE_TAPS)
+    total = first * a
+    twice = float(Fraction(float(second * a)) + total)
+    fused = float(second * a + total)
+    assert twice == -(2.0**-30)
+    assert fused == -(2.0**-30) - 2.0**-60
+    xp = np.full(38, backends.PROBE_SAMPLE)
+    loop = backends._loop_sum(xp, np.array(backends.PROBE_TAPS), 37, 1)
+    assert np.all(loop == twice)
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"),
+    reason="numpy's einsum rounds twice on x86-64; other builds may fuse",
+)
+def test_einsum_path_is_selected_on_x86_64():
+    # a numpy build whose einsum starts to fuse fails here instead of
+    # silently falling back to the slower loop
+    assert backends.EINSUM_ROUNDS_TWICE
+
+
+@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("filters, stride", [
-    ("db4", 1), ("db4", 16), ("box", 1),
+    ("db4", 1), ("db4", 16), ("box", 1), ("one tap", 1), ("one tap", 0),
 ])
-def test_product_budget_edge_equals_rolled_copies_exactly(db4, rng, filters, stride, above):
-    # the longest input whose tap products fit PRODUCT_BUDGET, summed in one
-    # reduction, and one sample more, summed by the per-run loop
-    bank = (db4.dec_lo, db4.rec_hi) if filters == "db4" else (np.full(77, 1.0 / 77),)
+def test_path_edges_equal_rolled_copies_exactly(db4, rng, filters, stride, n):
+    # one sample takes the loop and two take einsum, whose view has a single
+    # row for one tap
+    bank = {
+        "db4": (db4.dec_lo, db4.rec_hi),
+        "box": (np.full(77, 1.0 / 77),),
+        "one tap": (np.array([1.5]), np.array([-0.0])),
+    }[filters]
     for taps in bank:
-        k = taps.size
-        span = (k - 1) * stride
-        n = backends.PRODUCT_BUDGET // k - span + above
-        assert (k * (n + span) <= backends.PRODUCT_BUDGET) == (above == 0)
-        for x in (rng.standard_normal(n), half_silent(rng, n) ** 2):
+        for x in (rng.standard_normal(n), np.full(n, -0.0), np.full(n, 0.0)):
             assert same_bits(
                 backends.circular_conv(x, taps, stride), roll_conv(x, taps, stride)
             )
+
+
+def _at_offset(x, offset):
+    """x copied to start ``offset`` doubles past a 64-byte boundary."""
+    buffer = np.empty(x.size + 16)
+    head = (-buffer.ctypes.data % 64) // 8 + offset
+    view = buffer[head : head + x.size]
+    view[...] = x
+    assert view.ctypes.data % 64 == 8 * offset
+    return view
+
+
+@pytest.mark.parametrize("filters, stride", [("db4", 1), ("db4", 16), ("box", 1)])
+def test_every_alignment_equals_rolled_copies_exactly(db4, rng, filters, stride):
+    # numpy's einsum kernel takes aligned or unaligned loads by address and
+    # runs a body of 4 vectors and a tail; n straddles both boundaries for
+    # 2-, 4- and 8-double vectors. circular_conv copies x, so its copy's
+    # address comes from the allocator; the sum is also run on the padded
+    # copy itself at each offset
+    taps = db4.dec_lo if filters == "db4" else np.full(77, 1.0 / 77)
+    span = (taps.size - 1) * stride
+    for n in (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65):
+        x = rng.standard_normal(n)
+        want = roll_conv(x, taps, stride)
+        xp = np.take(x, np.arange(-span, n), mode="wrap")
+        for offset in range(8):
+            got = backends.circular_conv(_at_offset(x, offset), taps, stride)
+            assert same_bits(got, want)
+            got = backends._einsum_sum(_at_offset(xp, offset), taps, n, stride)
+            assert same_bits(got, want)
 
 
 def test_circular_conv_of_empty_input_is_empty():

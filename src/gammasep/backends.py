@@ -9,9 +9,11 @@ against 300 us per call for a multiply pass and an add pass per tap, on a
 2-vCPU host); a single output sample, and a numpy build whose einsum
 fuses them (a probe at import decides), take that per-tap loop instead.
 The real centered kernel rides ``np.convolve``. The complex one applies a
-bank of kernels as one matrix product: every output sample is the dot of
-the same input window with the same tap column, wherever the sample sits
-in the input.
+bank of kernels as one matrix product per block of input windows, or as
+the in-order sum of one product per 256-tap slice when the kernels are
+longer: every output sample is the dot of the same input window with the
+same tap column, wherever the sample sits in the input and at any BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ BLOCK_BYTES = 256 * 1024
 # it sits in the input and whichever bank its kernel belongs to
 BLOCK_ALIGN = 64
 BANK_WIDTH = 12
+# no BLAS product sums more taps than this; a longer kernel's is summed
+# over slices in order, so the bytes do not depend on the thread count
+TAP_SLICE = 256
 
 
 def _einsum_sum(xp, taps, n, stride):
@@ -158,6 +163,15 @@ def _block_rows(k):
     return max(1, BLOCK_BYTES // (8 * k) // BLOCK_ALIGN) * BLOCK_ALIGN
 
 
+def _sliced_matmul(block, weights):
+    """``block @ weights`` as the in-order sum of the products over
+    consecutive TAP_SLICE-tap slices of the kernel axis."""
+    product = block[:, :TAP_SLICE] @ weights[:TAP_SLICE]
+    for lo in range(TAP_SLICE, weights.shape[0], TAP_SLICE):
+        product += block[:, lo : lo + TAP_SLICE] @ weights[lo : lo + TAP_SLICE]
+    return product
+
+
 def centered_conv_complex(x, taps):
     """Like :func:`centered_conv` but with complex taps, for analytic kernels.
 
@@ -174,9 +188,12 @@ def centered_conv_complex(x, taps):
     length. All products have one shape, up to a last block cut to a whole
     number of BLOCK_ALIGN windows: an output sample is therefore the same
     sum of the same products wherever it sits in the input (the crop of
-    `tfmap.map_row` rests on this) and whichever bank holds its kernel. The
-    sums run in the BLAS library's order, so another BLAS build can differ
-    in the last bits.
+    `tfmap.map_row` rests on this) and whichever bank holds its kernel.
+    A kernel longer than TAP_SLICE (256) taps is the in-order sum of one
+    product per TAP_SLICE-tap slice of the kernel axis: unsliced, OpenBLAS
+    summed a 5141-tap 1-5 Hz bank in another order on two threads than on
+    one. Within a product the sum runs in the BLAS library's order, so
+    another BLAS build can differ in the last bits.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     taps = np.asarray(taps, dtype=np.complex128)
@@ -199,12 +216,13 @@ def centered_conv_complex(x, taps):
     buffer[k - 1 - off : k - 1 - off + n] = x
     windows = as_strided(buffer, (padded, k), 2 * buffer.strides, writeable=False)
     step = _block_rows(k)
+    matmul = np.matmul if k <= TAP_SLICE else _sliced_matmul
     out = np.empty((rows, n), dtype=np.complex128)
     for lo in range(0, n, step):
         block = np.ascontiguousarray(windows[lo : lo + step])
         hi = min(lo + step, n)
         for g in range(groups):
-            response = (block @ weights[g]).view(np.complex128)
+            response = matmul(block, weights[g]).view(np.complex128)
             dest = out[g * BANK_WIDTH : (g + 1) * BANK_WIDTH, lo:hi]
             dest[...] = response[: hi - lo, : dest.shape[0]].T
     return out[0] if taps.ndim == 1 else out

@@ -6,8 +6,8 @@ length in samples). Both are immutable after construction.
 
 This module imports no other gammasep module, so it is the one home of the
 argument checks every other module calls: `require_positive` for a rate,
-frequency, duration, width or dilation, `require_integer` and
-`require_number` for a setting, and `number_tuple` for a list of numbers.
+frequency, duration or dilation, `require_integer` for a setting, and
+`number_tuple` for a list of numbers, each entry through `require_number`.
 Each raises naming the argument it refuses. None of them is a package name.
 """
 
@@ -134,12 +134,6 @@ class TimeWindow:
                 f"window [{self.start_sample}, {self.end_sample}) exceeds "
                 f"signal length {n_samples}"
             )
-
-    def overlap(self, other):
-        """Number of samples shared with another window."""
-        lo = max(self.start_sample, other.start_sample)
-        hi = min(self.end_sample, other.end_sample)
-        return max(0, hi - lo)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 transients and colored noise under controlled overlap regimes.
 
 The recording protocol is fixed: 512 Hz sampling, 1/f noise, 50 uV bursts
-and 100 uV, 20 ms spikes (the module constants below). Each realization
-places one tapered sinusoidal burst and one spike per channel, then adds
-the noise scaled to an exact signal-to-noise ratio over the burst window.
-Everything is deterministic given the seed.
+and 100 uV, 20 ms spikes. The generators read these module constants and
+take only what a realization varies: the burst frequency, and the noise
+length and seed. Each realization places one tapered sinusoidal burst and
+one spike per channel, then adds the noise scaled to an exact
+signal-to-noise ratio over the burst window. Everything is deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .signal_core import (
     number_tuple,
     oscillation_duration_ms,
     require_integer,
-    require_number,
-    require_positive,
 )
 
 __all__ = [
@@ -171,63 +171,50 @@ class GroundTruth:
         object.__setattr__(self, "channels", tuple(self.channels))
 
 
-def gen_gamma_burst(freq_hz, duration_ms, amplitude_uv, sample_rate_hz):
-    """Sinusoid under a raised-cosine taper, peak |value| = amplitude_uv.
+def gen_gamma_burst(freq_hz):
+    """Sinusoid under a raised-cosine taper, peak |value| BURST_AMPLITUDE_UV.
 
-    The taper starts and ends at zero, so the burst is exactly zero outside
-    its own support.
+    It lasts `oscillation_duration_ms(freq_hz)` at SAMPLE_RATE_HZ, at least
+    18 samples below Nyquist. The taper starts and ends at zero, so the
+    burst is exactly zero outside its own support.
     """
-    require_positive("duration_ms", duration_ms)
-    require_positive("sample_rate_hz", sample_rate_hz)
-    if not 0 < freq_hz < sample_rate_hz / 2.0:
-        raise ValueError(
-            f"freq_hz must lie below Nyquist ({sample_rate_hz / 2.0}), got {freq_hz}"
-        )
-    n = ms_to_samples(duration_ms, sample_rate_hz)
-    if n == 0:
-        return np.zeros(0)
+    nyquist = SAMPLE_RATE_HZ / 2.0
+    if not 0 < freq_hz < nyquist:
+        raise ValueError(f"freq_hz must lie in (0, {nyquist}), got {freq_hz}")
+    n = ms_to_samples(oscillation_duration_ms(freq_hz), SAMPLE_RATE_HZ)
     t = np.arange(n)
-    burst = np.sin(2.0 * np.pi * freq_hz * t / sample_rate_hz) * np.hanning(n)
-    peak = np.max(np.abs(burst))
-    if peak == 0.0:
-        return np.zeros(n)
-    return burst * (amplitude_uv / peak)
+    burst = np.sin(2.0 * np.pi * freq_hz * t / SAMPLE_RATE_HZ) * np.hanning(n)
+    return burst * (BURST_AMPLITUDE_UV / np.max(np.abs(burst)))
 
 
-def gen_transient(width_ms, amplitude_uv, sample_rate_hz):
-    """Biphasic spike: first derivative of a Gaussian, peak = amplitude_uv.
+def gen_transient():
+    """Biphasic spike: first derivative of a Gaussian, peak TRANSIENT_AMPLITUDE_UV.
 
-    Sampled symmetrically about its center, so the template is odd and sums
-    to zero. The Gaussian spread is width/6, putting the support inside
-    three standard deviations on each side.
+    TRANSIENT_WIDTH_MS long (10 samples), sampled symmetrically about its
+    center, so the template is odd and sums to zero. The Gaussian spread is
+    width/6, putting the support inside three standard deviations on each
+    side.
     """
-    require_positive("width_ms", width_ms)
-    n = ms_to_samples(width_ms, sample_rate_hz)
-    if n == 0:
-        return np.zeros(0)
+    n = ms_to_samples(TRANSIENT_WIDTH_MS, SAMPLE_RATE_HZ)
     t = np.arange(n) - (n - 1) / 2.0
     sigma = n / 6.0
     spike = -t * np.exp(-(t * t) / (2.0 * sigma * sigma))
-    peak = np.max(np.abs(spike))
-    if peak == 0.0:
-        return np.zeros(n)
-    return spike * (amplitude_uv / peak)
+    return spike * (TRANSIENT_AMPLITUDE_UV / np.max(np.abs(spike)))
 
 
-def gen_colored_noise(n, exponent, rng_seed):
-    """Unit-variance noise with power spectrum proportional to 1/f^exponent.
+def gen_colored_noise(n, rng_seed):
+    """Unit-variance noise of n samples with power spectrum 1/f^NOISE_EXPONENT.
 
-    White Gaussian noise is shaped in the frequency domain by k^(-exponent/2)
-    per positive bin, the DC bin is zeroed, and the result is rescaled to
-    exactly unit sample variance. The gains are built once per spectrum
-    size and exponent and shared read-only.
+    White Gaussian noise is shaped in the frequency domain by
+    k^(-NOISE_EXPONENT/2) per positive bin, the DC bin is zeroed, and the
+    result is rescaled to exactly unit sample variance. The gains are built
+    once per spectrum size and shared read-only.
     """
     require_integer("n", n)
-    require_number("exponent", exponent)
     rng = np.random.default_rng(rng_seed)
     white = rng.standard_normal(n)
     spectrum = np.fft.rfft(white)
-    noise = np.fft.irfft(spectrum * _noise_gains(spectrum.size, exponent), n)
+    noise = np.fft.irfft(spectrum * _noise_gains(spectrum.size), n)
     std = noise.std()
     if std == 0.0:
         return np.zeros(n)
@@ -235,11 +222,11 @@ def gen_colored_noise(n, exponent, rng_seed):
 
 
 @functools.lru_cache(maxsize=_GAINS_CACHE_SIZE)
-def _noise_gains(bins, exponent):
-    """Read-only gain k**(-exponent/2) of each rfft bin k, and 0.0 at DC."""
+def _noise_gains(bins):
+    """Read-only gain k**(-NOISE_EXPONENT/2) of each rfft bin k, and 0.0 at DC."""
     k = np.arange(bins, dtype=np.float64)
     gains = np.zeros(bins)
-    gains[1:] = k[1:] ** (-exponent / 2.0)
+    gains[1:] = k[1:] ** (-NOISE_EXPONENT / 2.0)
     gains.setflags(write=False)
     return gains
 
@@ -287,16 +274,14 @@ def build_realization(config, realization_index):
         )
     n = config.n_samples
     sweep = _sweep(config, realization_index)
-    spike = gen_transient(TRANSIENT_WIDTH_MS, TRANSIENT_AMPLITUDE_UV, SAMPLE_RATE_HZ)
+    spike = gen_transient()
 
     rows = []
     truths = []
     for ch, (freq, regime) in enumerate(
         zip(config.burst_freqs_hz, config.overlap_regimes)
     ):
-        burst = gen_gamma_burst(
-            freq, oscillation_duration_ms(freq), BURST_AMPLITUDE_UV, SAMPLE_RATE_HZ
-        )
+        burst = gen_gamma_burst(freq)
         burst_start, spike_start, fraction = _layout(
             n, burst.size, spike.size, regime, sweep
         )
@@ -306,9 +291,7 @@ def build_realization(config, realization_index):
         transient_window = TimeWindow(spike_start, spike.size)
         noisy = clean
         if math.isfinite(config.snr_db):
-            noise = gen_colored_noise(
-                n, NOISE_EXPONENT, _channel_seed(config, realization_index, ch)
-            )
+            noise = gen_colored_noise(n, _channel_seed(config, realization_index, ch))
             win = slice(burst_window.start_sample, burst_window.end_sample)
             clean_power = np.mean(clean[win] ** 2)
             noise_power = np.mean(noise[win] ** 2)

@@ -53,7 +53,10 @@ most of its row is never filtered.
 None of the chain's filters depends on the row: the band's taps, the
 10-15 Hz taps and the Morlet bank are each built once per band and sample
 rate, kept in a small cache, and handed out read-only, so every row of
-every map shares them and no caller can change them for the next.
+every map shares them and no caller can change them for the next. A bank
+longer than 256 taps (a band starting at 20 Hz or below, at 512 Hz) is
+summed over fixed 256-tap slices, so its bytes do not depend on the BLAS
+thread count either.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import centered_conv, centered_conv_complex
-from .signal_core import MultiChannelSignal, ms_to_samples, require_positive
+from .signal_core import ms_to_samples, require_positive
 
 __all__ = [
     "BuildupDetection",
@@ -271,25 +274,18 @@ def bandpass(x, band_hz, sample_rate_hz):
     return centered_conv(x, bandpass_taps(band_hz, sample_rate_hz))
 
 
-def envelope_smooth(x, width_samples):
-    """Centered moving average; the window shrinks at the boundaries.
+def envelope_smooth(x):
+    """Centered moving average of SMOOTH_WIDTH samples, shrinking at the ends.
 
-    For even widths the window covers width/2 samples to the left and
-    width/2 - 1 to the right of each position. Each output is the
-    difference of two entries of one cumulative sum, divided by the count
-    of samples its window holds; the width must be a whole number.
+    The window covers SMOOTH_WIDTH/2 samples to the left and
+    SMOOTH_WIDTH/2 - 1 to the right of each position, clipped to the input.
+    Each output is the difference of two entries of one cumulative sum,
+    divided by the count of samples its window holds.
     """
-    if not 1 <= width_samples < math.inf:
-        raise ValueError(f"width_samples must be finite and >= 1, got {width_samples}")
-    if width_samples % 1:
-        raise ValueError(f"width_samples must be a whole number, got {width_samples}")
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    width = int(width_samples)
-    if width == 1 or n == 0:
-        return x.copy()
-    left = width // 2
-    right = width - 1 - left
+    left = SMOOTH_WIDTH // 2
+    right = SMOOTH_WIDTH - 1 - left
     csum = np.zeros(n + 1)
     np.cumsum(x, out=csum[1:])
     # sample i averages x[lo:hi] with lo = max(i - left, 0) and
@@ -300,7 +296,7 @@ def envelope_smooth(x, width_samples):
     clipped = min(left, n)
     sums[clipped:] -= csum[: n - clipped]
     # hi - lo is the width less the samples clipped at either end
-    count = np.full(n, float(width))
+    count = np.full(n, float(SMOOTH_WIDTH))
     count[:clipped] -= np.arange(left, left - clipped, -1.0)
     count[max(n - right, 0) :] -= np.arange(max(right - n, 0) + 1.0, right + 1.0)
     sums /= count
@@ -332,7 +328,7 @@ def normalize_by_low_band(band_energy, x_original, sample_rate_hz):
     # an overflow is reported below as a ValueError, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         low = bandpass(x_original, LOW_BAND_HZ, sample_rate_hz)
-        low_energy = envelope_smooth(low * low, SMOOTH_WIDTH)
+        low_energy = envelope_smooth(low * low)
     if not np.isfinite(low_energy).all():
         raise ValueError("low-band energy is not finite; check the input scale")
     floor = RAMP_FRACTION * np.max(low_energy) if low_energy.size else 0.0
@@ -414,7 +410,7 @@ def map_row(x, band_hz, params):
         response = morlet_transform(filtered, params)
         band_energy = np.zeros(hi - lo)
         band_energy[bank_lo - lo : bank_hi - lo] = np.mean(np.abs(response) ** 2, axis=0)
-        smoothed = envelope_smooth(band_energy, SMOOTH_WIDTH)
+        smoothed = envelope_smooth(band_energy)
     if not np.isfinite(smoothed).all():
         raise ValueError("band energy is not finite; check the input scale")
     row[lo:hi] = normalize_by_low_band(smoothed, x[lo:hi], rate)

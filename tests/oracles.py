@@ -306,15 +306,9 @@ def pearson(a, b):
 
 def placed_burst(truth_channel, config):
     """Re-create the clean burst trace a ground-truth entry describes."""
-    from gammasep.simulate import BURST_AMPLITUDE_UV, SAMPLE_RATE_HZ, gen_gamma_burst
-    from gammasep.signal_core import oscillation_duration_ms
+    from gammasep.simulate import gen_gamma_burst
 
-    burst = gen_gamma_burst(
-        truth_channel.burst_freq_hz,
-        oscillation_duration_ms(truth_channel.burst_freq_hz),
-        BURST_AMPLITUDE_UV,
-        SAMPLE_RATE_HZ,
-    )
+    burst = gen_gamma_burst(truth_channel.burst_freq_hz)
     out = np.zeros(config.n_samples)
     start = truth_channel.burst_window.start_sample
     out[start:start + burst.size] = burst
@@ -327,12 +321,15 @@ EDGE_STARTS = (0, 30, 100, 300, 4800)
 
 def edge_recording(freq_hz, start):
     """5000 samples at 512 Hz: 1/f noise of standard deviation 5 uV and one
-    150 ms, 50 uV burst at freq_hz from sample `start`, built with the
-    simulate generators."""
-    from gammasep.simulate import gen_colored_noise, gen_gamma_burst
+    150 ms, 50 uV burst at freq_hz from sample `start`.
 
-    x = 5.0 * gen_colored_noise(5000, 1.0, 7)
-    burst = gen_gamma_burst(freq_hz, 150.0, 50.0, 512.0)
+    The noise is the simulate generator's. The burst is `gen_gamma_burst`'s
+    tapered sinusoid, but 150 ms (77 samples) long at every frequency."""
+    from gammasep.simulate import gen_colored_noise
+
+    x = 5.0 * gen_colored_noise(5000, 7)
+    burst = np.sin(2.0 * np.pi * freq_hz * np.arange(77) / 512.0) * np.hanning(77)
+    burst = burst * (50.0 / np.max(np.abs(burst)))
     x[start : start + burst.size] += burst
     return x
 
@@ -340,7 +337,6 @@ def edge_recording(freq_hz, start):
 def full_map_row(x, band_hz, params):
     """One map row with the chain run over the whole input, zeros included."""
     from gammasep.tfmap import (
-        SMOOTH_WIDTH,
         bandpass,
         envelope_smooth,
         morlet_transform,
@@ -351,7 +347,7 @@ def full_map_row(x, band_hz, params):
         filtered = bandpass(x, band_hz, params.sample_rate_hz)
         response = morlet_transform(filtered, params)
         band_energy = np.mean(np.abs(response) ** 2, axis=0)
-        smoothed = envelope_smooth(band_energy, SMOOTH_WIDTH)
+        smoothed = envelope_smooth(band_energy)
     if not np.isfinite(smoothed).all():
         raise ValueError("band energy is not finite; check the input scale")
     return normalize_by_low_band(smoothed, x, params.sample_rate_hz)
@@ -369,7 +365,6 @@ def fresh_map_row(x, band_hz, params):
     from gammasep.tfmap import (
         LOW_BAND_HZ,
         RAMP_FRACTION,
-        SMOOTH_WIDTH,
         _bandpass_taps,
         _morlet_radius,
         envelope_smooth,
@@ -391,9 +386,9 @@ def fresh_map_row(x, band_hz, params):
 
     x = np.asarray(x, dtype=np.float64)
     response = centered_conv_complex(centered_conv(x, taps(band_hz)), bank)
-    band_energy = envelope_smooth(np.mean(np.abs(response) ** 2, axis=0), SMOOTH_WIDTH)
+    band_energy = envelope_smooth(np.mean(np.abs(response) ** 2, axis=0))
     low = centered_conv(x, taps(LOW_BAND_HZ))
-    low_energy = envelope_smooth(low * low, SMOOTH_WIDTH)
+    low_energy = envelope_smooth(low * low)
     denom = np.maximum(low_energy, RAMP_FRACTION * np.max(low_energy))
     out = np.zeros_like(x)
     np.divide(band_energy, denom, out=out, where=denom > 0.0)

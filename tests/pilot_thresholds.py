@@ -40,8 +40,7 @@ def noise_map_ratios(cfg):
     ratios = []
     for idx in range(cfg.n_realizations):
         rows = [
-            g.gen_colored_noise(cfg.n_samples, simulate.NOISE_EXPONENT,
-                                (cfg.rng_seed ^ idx) * 3 + ch)
+            g.gen_colored_noise(cfg.n_samples, (cfg.rng_seed ^ idx) * 3 + ch)
             for ch in range(3)
         ]
         sig = g.MultiChannelSignal(

@@ -328,9 +328,14 @@ def test_centered_conv_complex_matches_real_parts(rng):
 @st.composite
 def bank_problems(draw):
     # kernels short and long (past 512 taps a block is BLOCK_ALIGN windows),
-    # one kernel or a bank of up to three products, and inputs shorter than
-    # a kernel or one window either side of a block boundary
-    k = draw(st.one_of(st.integers(1, 140), st.integers(500, 700)))
+    # either side of a TAP_SLICE boundary, one kernel or a bank of up to
+    # three products, and inputs shorter than a kernel or one window either
+    # side of a block boundary
+    k = draw(st.one_of(
+        st.integers(1, 140),
+        st.sampled_from([256, 257, 512, 513]),
+        st.integers(500, 700),
+    ))
     rows = draw(st.sampled_from([None, 1, 2, 11, 13, 25]))
     block = backends._block_rows(k)
     n = draw(st.one_of(
@@ -378,6 +383,20 @@ def test_output_does_not_depend_on_where_a_sample_sits(problem, before, after):
     assert same_bits(
         moved[..., before : before + x.size], backends.centered_conv_complex(x, taps)
     )
+
+
+@pytest.mark.parametrize("band", [(1.0, 5.0), (10.0, 15.0)])
+def test_long_bank_output_does_not_depend_on_where_a_sample_sits(rng, band):
+    # a bank longer than TAP_SLICE sums one product per slice of its taps;
+    # map_row's crop still needs zeros around the input to move no bit
+    bank = g.tfmap._morlet_bank(g.MorletParams.for_band(band, 512.0).scales)
+    assert bank.shape[1] > backends.TAP_SLICE
+    x = rng.standard_normal(700)
+    want = backends.centered_conv_complex(x, bank)
+    for before, after in ((0, 1), (1, 0), (63, 65), (333, 1000)):
+        padded = np.concatenate((np.zeros(before), x, np.zeros(after)))
+        moved = backends.centered_conv_complex(padded, bank)
+        assert same_bits(moved[:, before : before + x.size], want)
 
 
 def test_morlet_banks_match_per_scale_convolution(rng):

@@ -19,7 +19,7 @@ from gammasep.despike import (
     separate,
     threshold_coeffs,
 )
-from gammasep.signal_core import TimeWindow, oscillation_duration_ms
+from gammasep.signal_core import TimeWindow
 from gammasep.swt import WaveletCoefficients, swt_decompose, wavelet_filters
 from frozen import RESEPARATION_ENERGY_FRACTION
 from oracles import (
@@ -43,12 +43,6 @@ def placed(template, start, n=5000):
     out = np.zeros(n)
     out[start : start + template.size] = template
     return out
-
-
-def standard_burst(freq):
-    return g.gen_gamma_burst(
-        freq, oscillation_duration_ms(freq), 50.0, FS
-    )
 
 
 class TestMaskGeometry:
@@ -137,7 +131,7 @@ class TestAnalysisAdvance:
 class TestDetection:
     @pytest.mark.parametrize("freq,tol", [(45.0, 10), (55.0, 10), (85.0, 10)])
     def test_pure_burst_center_within_ten_samples(self, freq, tol):
-        burst = standard_burst(freq)
+        burst = g.gen_gamma_burst(freq)
         start = 2500 - burst.size // 2
         result = separate(placed(burst, start), freq, FS)
         true_center = start + burst.size // 2
@@ -168,7 +162,7 @@ class TestDetection:
             separate(np.zeros(512), 45.0, FS)
 
     def test_tie_breaks_to_the_earliest_burst(self):
-        burst = standard_burst(45.0)
+        burst = g.gen_gamma_burst(45.0)
         x = placed(burst, 1000) + placed(burst, 3000)
         result = separate(x, 45.0, FS)
         first_center = 1000 + burst.size // 2
@@ -458,13 +452,13 @@ class TestSeparate:
 
     @pytest.mark.parametrize("freq", [45.0, 85.0])
     def test_pure_tapered_pulse_stays_oscillatory(self, freq):
-        burst = standard_burst(freq)
+        burst = g.gen_gamma_burst(freq)
         x = placed(burst, 2500 - burst.size // 2)
         result = separate(x, freq, FS)
         assert np.sum(result.transient**2) <= 0.05 * np.sum(x**2)
 
     def test_shift_equivariance_away_from_edges(self):
-        burst = standard_burst(45.0)
+        burst = g.gen_gamma_burst(45.0)
         x = placed(burst, 2449)
         base = separate(x, 45.0, FS)
         shifted = separate(np.roll(x, 37), 45.0, FS)
@@ -476,7 +470,7 @@ class TestSeparate:
         )
 
     def test_reseparation_changes_little_energy(self):
-        burst = standard_burst(45.0)
+        burst = g.gen_gamma_burst(45.0)
         x = placed(burst, 2449)
         once = separate(x, 45.0, FS)
         twice = separate(once.oscillatory, 45.0, FS)

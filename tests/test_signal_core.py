@@ -124,12 +124,6 @@ class TestTimeWindow:
         with pytest.raises(ValueError):
             TimeWindow(5, 6).check_within(10)
 
-    def test_overlap(self):
-        a = TimeWindow(0, 10)
-        assert a.overlap(TimeWindow(5, 10)) == 5
-        assert a.overlap(TimeWindow(10, 4)) == 0
-        assert a.overlap(TimeWindow(2, 3)) == 3
-
 
 class TestMultiChannelSignal:
     def test_shape_properties(self, rng):

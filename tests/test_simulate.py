@@ -8,9 +8,9 @@ import pytest
 from gammasep import simulate
 from gammasep.simulate import (
     BURST_AMPLITUDE_UV,
+    NOISE_EXPONENT,
     SAMPLE_RATE_HZ,
     TRANSIENT_AMPLITUDE_UV,
-    TRANSIENT_WIDTH_MS,
     OverlapRegime,
     SimConfig,
     build_realization,
@@ -21,118 +21,97 @@ from gammasep.simulate import (
 from oracles import same_bits
 
 
+def shared_samples(a, b):
+    """Number of samples two windows have in common."""
+    return max(0, min(a.end_sample, b.end_sample) - max(a.start_sample, b.start_sample))
+
+
 class TestGammaBurst:
-    def test_length_follows_duration(self):
-        assert gen_gamma_burst(45.0, 200.0, 50.0, 512.0).size == 102
-        assert gen_gamma_burst(85.0, 150.0, 50.0, 512.0).size == 77
-
-    def test_peak_is_exactly_the_amplitude(self):
-        burst = gen_gamma_burst(55.0, 180.0, 50.0, 512.0)
-        assert np.max(np.abs(burst)) == 50.0
-
-    def test_taper_pins_endpoints_to_zero(self):
-        burst = gen_gamma_burst(45.0, 200.0, 50.0, 512.0)
+    @pytest.mark.parametrize("freq, size", [(45.0, 102), (55.0, 92), (85.0, 77)])
+    def test_protocol_bursts_peak_at_the_amplitude_between_zeros(self, freq, size):
+        burst = gen_gamma_burst(freq)
+        assert burst.size == size
+        assert np.max(np.abs(burst)) == BURST_AMPLITUDE_UV
         assert burst[0] == 0.0
         assert burst[-1] == 0.0
 
+    def test_other_frequencies_last_nine_cycles(self):
+        assert gen_gamma_burst(60.0).size == 77  # 150 ms at 512 Hz
+
+    def test_just_below_nyquist_still_peaks_at_the_amplitude(self):
+        burst = gen_gamma_burst(255.9)
+        assert burst.size == 18
+        # the peak times BURST_AMPLITUDE_UV / peak, rounded twice
+        assert np.max(np.abs(burst)) == pytest.approx(BURST_AMPLITUDE_UV, rel=1e-15)
+        assert burst[0] == 0.0 and burst[-1] == 0.0
+
     @pytest.mark.parametrize("freq", [45.0, 55.0, 85.0])
     def test_spectrum_peaks_at_the_target(self, freq):
-        fs = 512.0
-        burst = gen_gamma_burst(freq, 200.0, 50.0, fs)
+        burst = gen_gamma_burst(freq)
         spectrum = np.abs(np.fft.rfft(burst))
-        peak_hz = np.argmax(spectrum) * fs / burst.size
-        assert abs(peak_hz - freq) <= fs / burst.size  # within one bin
+        peak_hz = np.argmax(spectrum) * SAMPLE_RATE_HZ / burst.size
+        assert abs(peak_hz - freq) <= SAMPLE_RATE_HZ / burst.size  # within one bin
 
-    def test_zero_amplitude_gives_zeros(self):
-        burst = gen_gamma_burst(45.0, 200.0, 0.0, 512.0)
-        assert np.all(burst == 0.0)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            gen_gamma_burst(45.0, 0.0, 50.0, 512.0)
-        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
-            gen_gamma_burst(45.0, 100.0, 50.0, math.nan)
-        with pytest.raises(ValueError):
-            gen_gamma_burst(300.0, 100.0, 50.0, 512.0)  # above Nyquist
-        with pytest.raises(ValueError):
-            gen_gamma_burst(0.0, 100.0, 50.0, 512.0)
+    @pytest.mark.parametrize("freq", [0.0, -5.0, 256.0, 300.0, math.nan])
+    def test_rejects_a_frequency_outside_zero_to_nyquist(self, freq):
+        with pytest.raises(ValueError, match="freq_hz must lie in"):
+            gen_gamma_burst(freq)
 
 
 class TestTransient:
-    def test_peak_is_exactly_the_amplitude(self):
-        spike = gen_transient(20.0, 100.0, 512.0)
-        assert np.max(np.abs(spike)) == 100.0
-
-    def test_template_is_biphasic_and_zero_mean(self):
-        spike = gen_transient(20.0, 100.0, 512.0)
-        assert spike.max() > 0 and spike.min() < 0
-        assert abs(spike.sum()) <= 1e-9 * np.sum(np.abs(spike))
-
-    def test_template_is_odd_about_center(self):
-        spike = gen_transient(20.0, 100.0, 512.0)
+    def test_ten_sample_odd_spike_peaks_at_the_amplitude(self):
+        spike = gen_transient()
+        assert spike.size == 10
+        assert np.max(np.abs(spike)) == TRANSIENT_AMPLITUDE_UV
         np.testing.assert_allclose(spike, -spike[::-1], atol=1e-12)
 
-    def test_seventy_ms_spike_energy_sits_below_forty_hz(self):
-        fs = 512.0
-        spike = gen_transient(70.0, 150.0, fs)
-        spectrum = np.abs(np.fft.rfft(spike, 4096)) ** 2
-        freqs = np.fft.rfftfreq(4096, 1.0 / fs)
-        low = spectrum[freqs < 40.0].sum()
-        assert low / spectrum.sum() >= 0.70
-
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            gen_transient(0.0, 100.0, 512.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_a_width_that_is_not_finite_naming_it(self, bad):
-        with pytest.raises(ValueError, match="width_ms must be positive and finite"):
-            gen_transient(bad, 100.0, 512.0)
+    def test_template_is_biphasic_and_zero_mean(self):
+        spike = gen_transient()
+        assert spike.max() > 0 and spike.min() < 0
+        assert abs(spike.sum()) <= 1e-9 * np.sum(np.abs(spike))
 
 
 class TestColoredNoise:
     def test_deterministic_per_seed(self):
-        a = gen_colored_noise(1000, 1.0, 42)
-        b = gen_colored_noise(1000, 1.0, 42)
+        a = gen_colored_noise(1000, 42)
+        b = gen_colored_noise(1000, 42)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, gen_colored_noise(1000, 1.0, 43))
+        assert not np.array_equal(a, gen_colored_noise(1000, 43))
 
-    def test_unit_variance_exactly(self):
-        for exponent in (0.0, 1.0, 2.0):
-            noise = gen_colored_noise(5000, exponent, 7)
+    @pytest.mark.parametrize("n", [1, 2, 999, 5000])
+    def test_unit_variance_exactly(self, n):
+        noise = gen_colored_noise(n, 7)
+        if n == 1:
+            # one sample has only the DC bin, which is zeroed
+            assert same_bits(noise, np.zeros(1))
+        else:
             assert noise.std() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("exponent", [0.0, 1.0])
-    def test_spectral_slope_matches_exponent(self, exponent):
+    def test_spectral_slope_is_one_over_f(self):
         n = 4096
         psd = np.zeros(n // 2 + 1)
         for seed in range(20):
-            noise = gen_colored_noise(n, exponent, seed)
+            noise = gen_colored_noise(n, seed)
             psd += np.abs(np.fft.rfft(noise)) ** 2
         k = np.arange(psd.size)
         keep = k >= 10  # skip the lowest bins where variance dominates
         slope = np.polyfit(np.log(k[keep]), np.log(psd[keep]), 1)[0]
-        assert abs(slope + exponent) <= 0.3
+        assert abs(slope + NOISE_EXPONENT) <= 0.3
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
-            gen_colored_noise(0, 1.0, 0)
+            gen_colored_noise(0, 0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_an_exponent_that_is_not_finite(self, bad):
-        with pytest.raises(ValueError, match="exponent must be finite"):
-            gen_colored_noise(100, bad, 0)
-
-    @pytest.mark.parametrize("n, exponent", [(5000, 1.0), (30720, 1.0), (999, 2.0)])
-    def test_shared_gains_give_the_per_call_noise(self, n, exponent):
+    @pytest.mark.parametrize("n", [5000, 30720, 999])
+    def test_shared_gains_give_the_per_call_noise(self, n):
         # the gains built afresh on each call, as the noise was first defined
         spectrum = np.fft.rfft(np.random.default_rng(3).standard_normal(n))
         k = np.arange(spectrum.size, dtype=np.float64)
         gains = np.zeros(spectrum.size)
-        gains[1:] = k[1:] ** (-exponent / 2.0)
+        gains[1:] = k[1:] ** (-NOISE_EXPONENT / 2.0)
         noise = np.fft.irfft(spectrum * gains, n)
-        assert same_bits(gen_colored_noise(n, exponent, 3), noise / noise.std())
-        shared = simulate._noise_gains(spectrum.size, exponent)
+        assert same_bits(gen_colored_noise(n, 3), noise / noise.std())
+        shared = simulate._noise_gains(spectrum.size)
         assert same_bits(shared, gains)
         with pytest.raises(ValueError):
             shared[1] = 0.0
@@ -242,7 +221,7 @@ class TestBuildRealization:
     def test_separated_regime_keeps_windows_disjoint(self, realization0):
         _, truth = realization0
         ct = truth.channels[0]
-        assert ct.burst_window.overlap(ct.transient_window) == 0
+        assert shared_samples(ct.burst_window, ct.transient_window) == 0
         assert ct.overlap_fraction == 0.0
 
     def test_fully_overlapped_centers_the_spike(self, realization0):
@@ -262,7 +241,7 @@ class TestBuildRealization:
         for idx in (0, 50, 100, 150, 199):
             _, truth = build_realization(default_config, idx)
             ct = truth.channels[1]
-            overlap = ct.burst_window.overlap(ct.transient_window)
+            overlap = shared_samples(ct.burst_window, ct.transient_window)
             assert ct.overlap_fraction >= last_fraction
             assert overlap >= last_overlap
             last_fraction = ct.overlap_fraction
@@ -282,20 +261,11 @@ class TestBuildRealization:
             assert inside / np.sum(x**2) >= 0.999
 
     def test_clean_part_reproducible_from_truth(self):
-        from gammasep.signal_core import oscillation_duration_ms
-
         config = SimConfig(snr_db=math.inf, n_realizations=2)
         signal, truth = build_realization(config, 1)
         for ch, ct in enumerate(truth.channels):
-            burst = gen_gamma_burst(
-                ct.burst_freq_hz,
-                oscillation_duration_ms(ct.burst_freq_hz),
-                BURST_AMPLITUDE_UV,
-                SAMPLE_RATE_HZ,
-            )
-            spike = gen_transient(
-                TRANSIENT_WIDTH_MS, TRANSIENT_AMPLITUDE_UV, SAMPLE_RATE_HZ
-            )
+            burst = gen_gamma_burst(ct.burst_freq_hz)
+            spike = gen_transient()
             expected = np.zeros(config.n_samples)
             bw, tw = ct.burst_window, ct.transient_window
             expected[bw.start_sample : bw.end_sample] += burst

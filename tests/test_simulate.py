@@ -27,11 +27,18 @@ def shared_samples(a, b):
 
 
 class TestGammaBurst:
-    @pytest.mark.parametrize("freq, size", [(45.0, 102), (55.0, 92), (85.0, 77)])
-    def test_protocol_bursts_peak_at_the_amplitude_between_zeros(self, freq, size):
+    def test_length_follows_duration(self):
+        assert gen_gamma_burst(45.0).size == 102  # 200 ms
+        assert gen_gamma_burst(55.0).size == 92  # 180 ms
+        assert gen_gamma_burst(85.0).size == 77  # 150 ms
+
+    @pytest.mark.parametrize("freq", [45.0, 55.0, 85.0])
+    def test_peak_is_exactly_the_amplitude(self, freq):
+        assert np.max(np.abs(gen_gamma_burst(freq))) == BURST_AMPLITUDE_UV
+
+    @pytest.mark.parametrize("freq", [45.0, 55.0, 85.0])
+    def test_taper_pins_endpoints_to_zero(self, freq):
         burst = gen_gamma_burst(freq)
-        assert burst.size == size
-        assert np.max(np.abs(burst)) == BURST_AMPLITUDE_UV
         assert burst[0] == 0.0
         assert burst[-1] == 0.0
 
@@ -59,11 +66,22 @@ class TestGammaBurst:
 
 
 class TestTransient:
-    def test_ten_sample_odd_spike_peaks_at_the_amplitude(self):
+    def test_peak_is_exactly_the_amplitude(self):
         spike = gen_transient()
         assert spike.size == 10
         assert np.max(np.abs(spike)) == TRANSIENT_AMPLITUDE_UV
+
+    def test_template_is_odd_about_center(self):
+        spike = gen_transient()
         np.testing.assert_allclose(spike, -spike[::-1], atol=1e-12)
+
+    def test_twenty_ms_spike_energy_sits_in_the_gamma_band(self):
+        # why a spike confounds a gamma map: its spectrum peaks near 50 Hz
+        spectrum = np.abs(np.fft.rfft(gen_transient(), 4096)) ** 2
+        freqs = np.fft.rfftfreq(4096, 1.0 / SAMPLE_RATE_HZ)
+        assert 40.0 <= freqs[np.argmax(spectrum)] <= 60.0
+        gamma = spectrum[(freqs >= 40.0) & (freqs <= 90.0)].sum()
+        assert gamma / spectrum.sum() >= 0.6
 
     def test_template_is_biphasic_and_zero_mean(self):
         spike = gen_transient()

@@ -35,7 +35,8 @@ BLOCK_BYTES = 256 * 1024
 BLOCK_ALIGN = 64
 BANK_WIDTH = 12
 # no BLAS product sums more taps than this; a longer kernel's is summed
-# over slices in order, so the bytes do not depend on the thread count
+# over slices in order (measured thread-count independent on OpenBLAS, see
+# centered_conv_complex)
 TAP_SLICE = 256
 
 
@@ -165,7 +166,8 @@ def _block_rows(k):
 
 def _sliced_matmul(block, weights):
     """``block @ weights`` as the in-order sum of the products over
-    consecutive TAP_SLICE-tap slices of the kernel axis."""
+    consecutive TAP_SLICE-tap slices of the kernel axis; one product, the
+    same bits as ``block @ weights``, when the kernel is no longer."""
     product = block[:, :TAP_SLICE] @ weights[:TAP_SLICE]
     for lo in range(TAP_SLICE, weights.shape[0], TAP_SLICE):
         product += block[:, lo : lo + TAP_SLICE] @ weights[lo : lo + TAP_SLICE]
@@ -192,8 +194,11 @@ def centered_conv_complex(x, taps):
     A kernel longer than TAP_SLICE (256) taps is the in-order sum of one
     product per TAP_SLICE-tap slice of the kernel axis: unsliced, OpenBLAS
     summed a 5141-tap 1-5 Hz bank in another order on two threads than on
-    one. Within a product the sum runs in the BLAS library's order, so
-    another BLAS build can differ in the last bits.
+    one; sliced, the 1-5, 2-6 and 10-15 Hz maps were byte-identical at 1, 2
+    and 4 threads on OpenBLAS 0.3.31 (SkylakeX). Why is not pinned down (the
+    slices also make each product smaller), so the tests guard it. Within a
+    product the sum runs in the BLAS library's order, so another BLAS build
+    can differ in the last bits.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     taps = np.asarray(taps, dtype=np.complex128)
@@ -216,13 +221,12 @@ def centered_conv_complex(x, taps):
     buffer[k - 1 - off : k - 1 - off + n] = x
     windows = as_strided(buffer, (padded, k), 2 * buffer.strides, writeable=False)
     step = _block_rows(k)
-    matmul = np.matmul if k <= TAP_SLICE else _sliced_matmul
     out = np.empty((rows, n), dtype=np.complex128)
     for lo in range(0, n, step):
         block = np.ascontiguousarray(windows[lo : lo + step])
         hi = min(lo + step, n)
         for g in range(groups):
-            response = matmul(block, weights[g]).view(np.complex128)
+            response = _sliced_matmul(block, weights[g]).view(np.complex128)
             dest = out[g * BANK_WIDTH : (g + 1) * BANK_WIDTH, lo:hi]
             dest[...] = response[: hi - lo, : dest.shape[0]].T
     return out[0] if taps.ndim == 1 else out

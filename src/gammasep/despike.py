@@ -42,6 +42,7 @@ from .signal_core import (
     TimeWindow,
     ms_to_samples,
     oscillation_duration_ms,
+    real_array,
     require_positive,
 )
 from .swt import (
@@ -342,7 +343,7 @@ def separate(x, target_freq_hz, sample_rate_hz, filters=None,
     of ``threshold_coeffs``' two halves. Raises NoDetectionError when
     nothing can be localized.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array("x", x)
     if filters is None:
         filters = wavelet_filters()
     # an overflow is reported by the detector as a ValueError, not as warnings

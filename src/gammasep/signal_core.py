@@ -77,6 +77,23 @@ def number_tuple(key, value):
     return value
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def real_array(key, value):
+    """`value` as a float64 array, refusing a complex one by `key`.
+
+    numpy's own cast would drop the imaginary part with only a warning. A
+    float64 array, the kernels' usual input, is returned as it is.
+    """
+    arr = np.asarray(value)
+    if arr.dtype is not _FLOAT64:
+        if arr.dtype.kind == "c":
+            raise ValueError(f"{key} must be real, got a complex array")
+        arr = arr.astype(np.float64)
+    return arr
+
+
 def ms_to_samples(duration_ms, sample_rate_hz):
     """Convert a duration in milliseconds to a sample count.
 
@@ -151,7 +168,7 @@ class MultiChannelSignal:
 
     def __post_init__(self):
         require_positive("sample_rate_hz", self.sample_rate_hz)
-        arr = np.array(self.data, dtype=np.float64, copy=True)
+        arr = np.array(real_array("data", self.data), copy=True)
         if arr.ndim != 2:
             raise ValueError(f"data must be 2-D (channels x samples), got {arr.ndim}-D")
         finite = np.isfinite(arr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import circular_conv
-from .signal_core import require_positive
+from .signal_core import real_array, require_positive
 
 __all__ = [
     "FilterPair",
@@ -139,7 +139,7 @@ def swt_decompose(x, filters, levels):
     powers of two (equivalent to convolving with the zero-inserted filters).
     Every detail level is kept, and only the deepest approximation.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array("x", x)
     if x.ndim != 1:
         raise ValueError("input must be 1-D")
     if levels < 1:

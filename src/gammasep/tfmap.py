@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import centered_conv, centered_conv_complex
-from .signal_core import ms_to_samples, require_positive
+from .signal_core import ms_to_samples, real_array, require_positive
 
 __all__ = [
     "BuildupDetection",
@@ -382,7 +382,7 @@ def map_row(x, band_hz, params):
     Raises ValueError for empty or non-1-D input, and when the band energy
     or the low-band energy overflows.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array("x", x)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"map row must be a non-empty 1-D sequence, got shape {x.shape}")
     row = np.zeros_like(x)

@@ -143,6 +143,82 @@ def test_every_detection_box_width_equals_rolled_copies_exactly(rng, n, freq_hz)
         assert same_bits(backends.circular_conv(energy, box), roll_conv(energy, box))
 
 
+BLOCK, LONG = backends.BLOCK, backends.LONG
+# lengths either side of where the blocked einsum starts, whole multiples of
+# BLOCK, and lengths whose blocks of n // ceil(n / BLOCK) samples leave a
+# rest of 1 (16389 = 17 * 964 + 1), 2 or 17 (17423 = 18 * 967 + 17) samples
+BLOCK_EDGES = [
+    LONG - 1, LONG, LONG + 1, 16389, 16390, 17423, LONG + BLOCK,
+    LONG + 2 * BLOCK, LONG + 2 * BLOCK + 1,
+]
+
+
+def _edge_samples(rng, n):
+    """Normal samples mixed with signed zeros, subnormals and magnitudes
+    near 1e300 and 1e-300."""
+    kinds = rng.integers(0, 6, n)
+    x = rng.standard_normal(n)
+    x[kinds == 1] = np.copysign(0.0, x[kinds == 1])
+    x[kinds == 2] *= 2.0**-1040  # subnormal
+    x[kinds == 3] *= 1e300
+    x[kinds == 4] *= 1e-300
+    return x
+
+
+@st.composite
+def block_edge_problems(draw):
+    # strides that take the blocked einsum (2 up) and that do not (1), and
+    # spans either side of its BLOCK // 2 limit; taps of at most 1e3 keep
+    # the sums of products near 1e300 finite
+    n = draw(st.one_of(
+        st.integers(LONG - 1, LONG + 2 * BLOCK + 1), st.sampled_from(BLOCK_EDGES)
+    ))
+    stride = draw(st.integers(1, 48))
+    signed_zeros = st.sampled_from([0.0, -0.0])
+    taps = draw(arrays(
+        np.float64, st.integers(1, 13),
+        elements=st.one_of(signed_zeros, st.floats(-1e3, 1e3)),
+    ))
+    x = _edge_samples(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return x, taps, stride
+
+
+@settings(deadline=None)
+@given(block_edge_problems())
+@example((_edge_samples(np.random.default_rng(0), LONG), np.linspace(-1, 1, 8), 2))
+@example((_edge_samples(np.random.default_rng(1), LONG + 1), np.ones(13), 42))
+@example((_edge_samples(np.random.default_rng(2), 16389), np.ones(3), 48))
+def test_blocked_sum_equals_rolled_copies_exactly(problem):
+    x, taps, stride = problem
+    assert same_bits(
+        backends.circular_conv(x, taps, stride), roll_conv(x, taps, stride)
+    )
+
+
+@pytest.mark.parametrize("n, stride, blocked", [
+    (LONG - 1, 2, False), (LONG, 1, False), (LONG, 2, True), (30720, 16, True),
+    # db4's seven gaps span 511 samples at stride 73, and 518 at 74
+    (30720, 73, True), (30720, 74, False),
+])
+def test_long_strided_calls_take_the_blocked_view(db4, rng, n, stride, blocked):
+    # the property above passes on either path; this pins which one runs (a
+    # numpy build whose einsum fuses takes the loop instead)
+    spy = mock.patch.object(backends, "_long_conv", wraps=backends._long_conv)
+    with spy as called:
+        backends.circular_conv(rng.standard_normal(n), db4.dec_lo, stride)
+    assert called.called == (blocked and backends.EINSUM_ROUNDS_TWICE)
+
+
+def test_blocked_view_reads_strided_and_read_only_input(db4, rng):
+    # the blocked path reads x itself, not a copy
+    x = rng.standard_normal(2 * 30720)[::2]
+    frozen = x.copy()
+    frozen.flags.writeable = False
+    want = roll_conv(x, db4.rec_hi, 4)
+    for view in (x, frozen):
+        assert same_bits(backends.circular_conv(view, db4.rec_hi, 4), want)
+
+
 @settings(deadline=None)
 @given(st.one_of(strided_problems(), tap_run_problems()))
 def test_loop_path_equals_rolled_copies_exactly(problem):
@@ -168,6 +244,18 @@ def test_rounding_probe_tells_a_fused_multiply_add_apart():
     xp = np.full(38, backends.PROBE_SAMPLE)
     loop = backends._loop_sum(xp, np.array(backends.PROBE_TAPS), 37, 1)
     assert np.all(loop == twice)
+
+
+def test_rounding_probe_checks_the_blocked_view():
+    # a blocked einsum that fused its multiply-adds would send every call to
+    # the loop, as a fused one-row einsum does
+    def fused(xp, taps, stride, out):
+        loop = backends._loop_sum(xp, taps, out.size, stride)
+        out[...] = (loop - 2.0**-60).reshape(out.shape)
+
+    with mock.patch.object(backends, "_blocked_sum", fused):
+        assert not backends._einsum_rounds_twice()
+    assert backends._einsum_rounds_twice() == backends.EINSUM_ROUNDS_TWICE
 
 
 @pytest.mark.skipif(
@@ -285,6 +373,15 @@ def test_circular_conv_accepts_numpy_integer_strides(rng):
         assert same_bits(
             backends.circular_conv(x, taps, stride), backends.circular_conv(x, taps, 3)
         )
+
+
+@pytest.mark.parametrize("name", ["x", "taps"])
+def test_circular_conv_refuses_a_complex_argument_naming_it(name):
+    # numpy's cast would drop the imaginary part with only a warning
+    args = {"x": np.ones(8), "taps": np.ones(2)}
+    args[name] = args[name] + 1j
+    with pytest.raises(ValueError, match=f"^{name} must be real, got a complex"):
+        backends.circular_conv(args["x"], args["taps"], 2)
 
 
 @pytest.mark.parametrize(

@@ -193,6 +193,12 @@ class TestSeparationBoundary:
         with pytest.raises(ValueError, match="target_freq_hz must be positive and finite"):
             separate(self.x, math.nan, FS)
 
+    def test_complex_samples(self):
+        # numpy's cast would separate the real part after only a warning
+        x = np.cos(2 * np.pi * 85.0 * np.arange(512) / 512.0) + 1j
+        with pytest.raises(ValueError, match="^x must be real, got a complex"):
+            separate(x, 85.0, FS)
+
 
 # a 9-cycle mask at FS is 9 * FS / f samples wide, so this target makes it w
 def target_for_width(w):

@@ -163,6 +163,11 @@ class TestMultiChannelSignal:
         with pytest.raises(ValueError, match="channel index 1, sample 7"):
             MultiChannelSignal(512.0, ("a", "b"), data)
 
+    def test_refuses_complex_samples_naming_them(self):
+        # numpy's cast would keep the real part and only warn
+        with pytest.raises(ValueError, match="^data must be real, got a complex"):
+            MultiChannelSignal(512.0, ("a",), np.ones((1, 10)) + 0j)
+
     def test_labels_coerced_to_strings(self):
         sig = MultiChannelSignal(512.0, (1, 2), np.zeros((2, 4)))
         assert sig.channel_labels == ("1", "2")

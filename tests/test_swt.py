@@ -163,6 +163,10 @@ class TestDecompose:
         with pytest.raises(ValueError):
             swt_decompose(np.zeros((2, 64)), db4, 1)
 
+    def test_rejects_complex_input_naming_it(self, db4):
+        with pytest.raises(ValueError, match="^x must be real, got a complex"):
+            swt_decompose(np.ones(64) + 1j, db4, 1)
+
     def test_gamma_energy_lands_in_its_level(self, db4):
         fs = 512.0
         t = np.arange(2048) / fs

@@ -563,6 +563,13 @@ class TestSupportLocalRow:
         with pytest.raises(ValueError, match="non-empty 1-D"):
             map_row(x, BAND, params)
 
+    def test_rejects_complex_input_naming_it(self):
+        params = MorletParams.for_band(BAND, FS)
+        x = np.zeros(1000, dtype=complex)
+        x[500] = 1.0 + 1.0j
+        with pytest.raises(ValueError, match="^x must be real, got a complex"):
+            map_row(x, BAND, params)
+
     @pytest.mark.parametrize("start", EDGE_STARTS)
     @pytest.mark.parametrize(
         "freq, band", [(45.0, (40.0, 50.0)), (55.0, (50.0, 60.0)), (85.0, BAND)]

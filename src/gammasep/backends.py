@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .signal_core import real_array
+from .signal_core import real_row
 
 __all__ = [
     "centered_conv",
@@ -213,12 +213,8 @@ def circular_conv(x, taps, stride=1):
       the two roundings differ, on both views, decides this; on x86-64
       numpy rounds twice.
     """
-    x = real_array("x", x)
-    taps = real_array("taps", taps)
-    if x.ndim != 1 or taps.ndim != 1:
-        raise ValueError(
-            f"x and taps must be 1-D, got shapes {x.shape} and {taps.shape}"
-        )
+    x = real_row("x", x)
+    taps = real_row("taps", taps)
     if (
         not isinstance(stride, (int, np.integer))
         or isinstance(stride, bool)
@@ -246,8 +242,8 @@ def centered_conv(x, taps):
 
     With an odd symmetric tap vector this applies a zero-phase FIR filter.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    taps = np.ascontiguousarray(taps, dtype=np.float64)
+    x = real_row("x", x)
+    taps = real_row("taps", taps)
     off = (taps.shape[0] - 1) // 2
     return np.convolve(x, taps, mode="full")[off : off + x.shape[0]]
 
@@ -294,7 +290,7 @@ def centered_conv_complex(x, taps):
     product the sum runs in the BLAS library's order, so another BLAS build
     can differ in the last bits.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = real_row("x", x)
     taps = np.asarray(taps, dtype=np.complex128)
     bank = taps.reshape(-1, taps.shape[-1])
     rows, k = bank.shape

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import despike, simulate, tfmap, tickmodel
-from .signal_core import MultiChannelSignal, number_tuple
+from .signal_core import MultiChannelSignal, number_tuple, require_band
 from .swt import wavelet_filters
 
 __all__ = [
@@ -79,10 +79,10 @@ class RunConfig:
                 f"target_freq_hz must list positive frequencies, got {list(targets)}"
             )
         band = number_tuple("band_hz", self.band_hz)
-        if len(band) != 2 or not 0 < band[0] < band[1]:
-            raise ValueError(
-                f"band_hz must be [low, high] with 0 < low < high, got {list(band)}"
-            )
+        # the input brings the rate, so only the edges' order is checked here
+        require_band("band_hz", band, np.inf)
+        if not isinstance(self.out_dir, str):
+            raise TypeError(f"out_dir must be a string, got {self.out_dir!r}")
         object.__setattr__(self, "target_freq_hz", tuple(map(float, targets)))
         object.__setattr__(self, "band_hz", tuple(map(float, band)))
 

@@ -42,7 +42,6 @@ from .signal_core import (
     TimeWindow,
     ms_to_samples,
     oscillation_duration_ms,
-    real_array,
     require_positive,
 )
 from .swt import (
@@ -343,7 +342,6 @@ def separate(x, target_freq_hz, sample_rate_hz, filters=None,
     of ``threshold_coeffs``' two halves. Raises NoDetectionError when
     nothing can be localized.
     """
-    x = real_array("x", x)
     if filters is None:
         filters = wavelet_filters()
     # an overflow is reported by the detector as a ValueError, not as warnings
@@ -353,7 +351,7 @@ def separate(x, target_freq_hz, sample_rate_hz, filters=None,
         coeffs, target_freq_hz, sample_rate_hz,
         filter_length=filters.length,
     )
-    mask = build_mask(center, target_freq_hz, sample_rate_hz, x.size)
+    mask = build_mask(center, target_freq_hz, sample_rate_hz, coeffs.n_samples)
     trans = _transient_coeffs(coeffs, mask)
     return SeparationResult(
         oscillatory=_oscillatory_part(coeffs, trans, mask.window, filters),

@@ -6,9 +6,12 @@ length in samples). Both are immutable after construction.
 
 This module imports no other gammasep module, so it is the one home of the
 argument checks every other module calls: `require_positive` for a rate,
-frequency, duration or dilation, `require_integer` for a setting, and
-`number_tuple` for a list of numbers, each entry through `require_number`.
-Each raises naming the argument it refuses. None of them is a package name.
+frequency, duration or dilation, `require_integer` for a setting,
+`number_tuple` for a list of numbers, each entry through `require_number`,
+and one check per rule of the signal chain: `real_row` for a channel row,
+`require_band` for a band and `require_frequency` for a frequency under a
+sample rate. Each raises naming the argument it refuses. None of them is a
+package name.
 """
 
 from __future__ import annotations
@@ -92,6 +95,29 @@ def real_array(key, value):
             raise ValueError(f"{key} must be real, got a complex array")
         arr = arr.astype(np.float64)
     return arr
+
+
+def real_row(key, value):
+    """`value` as a real 1-D float64 array (see `real_array`), refusing any
+    other shape by `key`."""
+    arr = real_array(key, value)
+    if arr.ndim != 1:
+        raise ValueError(f"{key} must be 1-D, got shape {arr.shape}")
+    return arr
+
+
+def require_band(key, band, sample_rate_hz):
+    """Raise unless `band` is two edges with 0 < low < high < rate / 2."""
+    nyquist = sample_rate_hz / 2.0
+    if len(band) != 2 or not 0 < band[0] < band[1] < nyquist:
+        raise ValueError(f"{key} must satisfy 0 < low < high < {nyquist}, got {band}")
+
+
+def require_frequency(key, freq_hz, sample_rate_hz):
+    """Raise unless 0 < `freq_hz` < rate / 2."""
+    nyquist = sample_rate_hz / 2.0
+    if not 0 < freq_hz < nyquist:
+        raise ValueError(f"{key} must lie in (0, {nyquist}), got {freq_hz}")
 
 
 def ms_to_samples(duration_ms, sample_rate_hz):

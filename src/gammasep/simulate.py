@@ -26,6 +26,7 @@ from .signal_core import (
     ms_to_samples,
     number_tuple,
     oscillation_duration_ms,
+    require_frequency,
     require_integer,
 )
 
@@ -109,10 +110,8 @@ class SimConfig:
         )
         if not freqs:
             raise ValueError("burst_freqs_hz must list at least one frequency")
-        nyquist = SAMPLE_RATE_HZ / 2.0
         for f in freqs:
-            if not 0 < f < nyquist:
-                raise ValueError(f"burst frequency {f} outside (0, {nyquist})")
+            require_frequency("each burst_freqs_hz entry", f, SAMPLE_RATE_HZ)
         if not isinstance(self.overlap_regimes, (list, tuple)):
             raise TypeError(
                 f"overlap_regimes must be a list, got {self.overlap_regimes!r}"
@@ -178,9 +177,7 @@ def gen_gamma_burst(freq_hz):
     18 samples below Nyquist. The taper starts and ends at zero, so the
     burst is exactly zero outside its own support.
     """
-    nyquist = SAMPLE_RATE_HZ / 2.0
-    if not 0 < freq_hz < nyquist:
-        raise ValueError(f"freq_hz must lie in (0, {nyquist}), got {freq_hz}")
+    require_frequency("freq_hz", freq_hz, SAMPLE_RATE_HZ)
     n = ms_to_samples(oscillation_duration_ms(freq_hz), SAMPLE_RATE_HZ)
     t = np.arange(n)
     burst = np.sin(2.0 * np.pi * freq_hz * t / SAMPLE_RATE_HZ) * np.hanning(n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import circular_conv
-from .signal_core import real_array, require_positive
+from .signal_core import real_row, require_frequency, require_integer, require_positive
 
 __all__ = [
     "FilterPair",
@@ -43,8 +43,8 @@ class FilterPair:
     scaling: np.ndarray
 
     def __post_init__(self):
-        h = np.array(self.scaling, dtype=np.float64)
-        if h.ndim != 1 or h.size == 0 or not np.isfinite(h).all():
+        h = np.array(real_row("scaling", self.scaling))
+        if h.size == 0 or not np.isfinite(h).all():
             raise ValueError(
                 f"scaling must be a non-empty 1-D list of finite taps, got {h}"
             )
@@ -109,10 +109,10 @@ class WaveletCoefficients:
     details: tuple
 
     def __post_init__(self):
-        approx = np.asarray(self.approximation, dtype=np.float64)
-        det = tuple(np.asarray(d, dtype=np.float64) for d in self.details)
-        if approx.ndim != 1 or not det:
-            raise ValueError("need a 1-D approximation and at least one detail level")
+        approx = real_row("approximation", self.approximation)
+        det = tuple(real_row("details", d) for d in self.details)
+        if not det:
+            raise ValueError("need at least one detail level")
         for seq in det:
             if seq.shape != approx.shape:
                 raise ValueError(
@@ -139,11 +139,8 @@ def swt_decompose(x, filters, levels):
     powers of two (equivalent to convolving with the zero-inserted filters).
     Every detail level is kept, and only the deepest approximation.
     """
-    x = real_array("x", x)
-    if x.ndim != 1:
-        raise ValueError("input must be 1-D")
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    x = real_row("x", x)
+    require_integer("levels", levels)
     if 2 ** levels > x.size:
         raise ValueError(
             f"signal of length {x.size} too short for {levels} levels"
@@ -185,11 +182,7 @@ def iswt_reconstruct(coeffs, filters):
 def level_for_frequency(freq_hz, sample_rate_hz):
     """Detail level whose band [fs/2^(j+1), fs/2^j) contains the frequency."""
     require_positive("sample_rate_hz", sample_rate_hz)
-    nyquist = sample_rate_hz / 2.0
-    if not 0 < freq_hz < nyquist:
-        raise ValueError(
-            f"freq_hz must lie in (0, {nyquist}), got {freq_hz}"
-        )
+    require_frequency("freq_hz", freq_hz, sample_rate_hz)
     # above the subnormal range halving is exact, so band_low is
     # fs / 2**(j + 1); unlike 2.0**(j + 1), it cannot overflow
     j = 1

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import centered_conv, centered_conv_complex
-from .signal_core import ms_to_samples, real_array, require_positive
+from .signal_core import ms_to_samples, real_row, require_band, require_positive
 
 __all__ = [
     "BuildupDetection",
@@ -125,9 +125,9 @@ def scales_for_band(band_hz, sample_rate_hz):
 
     Both endpoints are included when they are whole numbers of Hz.
     """
+    require_positive("sample_rate_hz", sample_rate_hz)
+    require_band("band_hz", band_hz, sample_rate_hz)
     low, high = band_hz
-    if not 0 < low < high < math.inf:
-        raise ValueError(f"band must satisfy 0 < low < high < inf, got {band_hz}")
     freqs = np.arange(math.ceil(low), math.floor(high) + 1, dtype=np.float64)
     if freqs.size == 0:
         freqs = np.array([(low + high) / 2.0])
@@ -187,9 +187,9 @@ def morlet_transform(x, params):
     1e-15 of its peak of the kernel's own `np.convolve`, and is the same
     wherever a sample sits in x, which `map_row`'s crop needs.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("input must be a non-empty 1-D sequence")
+    x = real_row("x", x)
+    if x.size == 0:
+        raise ValueError("x must not be empty")
     return centered_conv_complex(x, _morlet_bank(params.scales))
 
 
@@ -235,13 +235,9 @@ def bandpass_taps(band_hz, sample_rate_hz):
     The taps are built once per band and rate, from their float values, and
     are read-only.
     """
-    low, high = band_hz
     require_positive("sample_rate_hz", sample_rate_hz)
-    nyquist = sample_rate_hz / 2.0
-    if not 0 < low < high < nyquist:
-        raise ValueError(
-            f"band must satisfy 0 < low < high < {nyquist}, got {band_hz}"
-        )
+    require_band("band_hz", band_hz, sample_rate_hz)
+    low, high = band_hz
     return _bandpass_taps(float(low), float(high), float(sample_rate_hz))
 
 
@@ -270,7 +266,6 @@ def bandpass(x, band_hz, sample_rate_hz):
     The symmetric odd-length taps are applied center-aligned, which cancels
     the filter's group delay.
     """
-    x = np.asarray(x, dtype=np.float64)
     return centered_conv(x, bandpass_taps(band_hz, sample_rate_hz))
 
 
@@ -282,7 +277,7 @@ def envelope_smooth(x):
     Each output is the difference of two entries of one cumulative sum,
     divided by the count of samples its window holds.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_row("x", x)
     n = x.size
     left = SMOOTH_WIDTH // 2
     right = SMOOTH_WIDTH - 1 - left
@@ -319,8 +314,8 @@ def normalize_by_low_band(band_energy, x_original, sample_rate_hz):
     no low-band energy at all maps to zeros. A low-band energy that
     overflows raises ValueError.
     """
-    band_energy = np.asarray(band_energy, dtype=np.float64)
-    x_original = np.asarray(x_original, dtype=np.float64)
+    band_energy = real_row("band_energy", band_energy)
+    x_original = real_row("x_original", x_original)
     if band_energy.shape != x_original.shape:
         raise ValueError(
             f"shape mismatch: {band_energy.shape} vs {x_original.shape}"
@@ -382,9 +377,9 @@ def map_row(x, band_hz, params):
     Raises ValueError for empty or non-1-D input, and when the band energy
     or the low-band energy overflows.
     """
-    x = real_array("x", x)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"map row must be a non-empty 1-D sequence, got shape {x.shape}")
+    x = real_row("x", x)
+    if x.size == 0:
+        raise ValueError("x must not be empty")
     row = np.zeros_like(x)
     first, stop, _ = _row_supports(x[None, :])
     first, stop = int(first[0]), int(stop[0])
@@ -425,12 +420,9 @@ def spatiotemporal_map(signal, band_hz):
     signal's shape. A signal with no channel raises ValueError, and so does
     a channel whose energy overflows, prefixed with its label.
     """
-    low, high = band_hz
-    if not 0 < low < high < signal.sample_rate_hz / 2.0:
-        raise ValueError(f"band {band_hz} outside (0, Nyquist)")
+    params = MorletParams.for_band(band_hz, signal.sample_rate_hz)
     if signal.n_channels == 0:
         raise ValueError("signal has no channel to map")
-    params = MorletParams.for_band(band_hz, signal.sample_rate_hz)
     values = np.empty(signal.data.shape)
     for ch in range(signal.n_channels):
         try:
@@ -439,7 +431,7 @@ def spatiotemporal_map(signal, band_hz):
             raise ValueError(f"{signal.channel_labels[ch]}: {exc}") from None
     return SpatioTemporalMap(
         values=values,
-        band_hz=(float(low), float(high)),
+        band_hz=band_hz,
         channel_labels=signal.channel_labels,
         sample_rate_hz=signal.sample_rate_hz,
     )

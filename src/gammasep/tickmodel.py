@@ -123,12 +123,11 @@ def separation_stages(n_samples, filters, levels, mask):
 
 def run_pipeline(x, filters=None, sample_rate_hz=512.0, target_freq_hz=85.0):
     """Oscillatory part from `despike.separate`, priced under every schedule."""
-    x = np.asarray(x, dtype=np.float64)
     if filters is None:
         filters = wavelet_filters()
     result = despike.separate(x, target_freq_hz, sample_rate_hz, filters)
     stages = separation_stages(
-        x.size, filters, despike.DEFAULT_LEVELS, result.mask_used
+        result.oscillatory.size, filters, despike.DEFAULT_LEVELS, result.mask_used
     )
     return result.oscillatory, _report(stages, _pair_max_ticks, result.oscillatory)
 
@@ -162,9 +161,8 @@ def run_mapping_pipeline(x, params, band_hz):
 
     Ticks are structural: they depend on the stage list, never on the data.
     """
-    x = np.asarray(x, dtype=np.float64)
     output = tfmap.map_row(x, band_hz, params)
-    stages = mapping_stages(x.size, params, band_hz)
+    stages = mapping_stages(output.size, params, band_hz)
     return output, _report(stages, _split_ticks, output)
 
 

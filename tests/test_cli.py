@@ -147,6 +147,9 @@ class TestLoadConfig:
             ("k_sigma", 0.0, "unknown config keys"),
             ("wavelet", "db9", "unknown config keys"),
             ("wavelet", 4, "unknown config keys"),
+            ("out_dir", 5, "out_dir must be a string, got 5"),
+            ("out_dir", None, "out_dir must be a string, got None"),
+            ("out_dir", ["runs"], "out_dir must be a string, got \\['runs'\\]"),
         ],
     )
     def test_bad_analysis_setting_names_the_file(self, tmp_path, key, value, message):
@@ -375,6 +378,24 @@ def test_bad_analysis_setting_exits_invalid_before_writing(
     assert main(argv) == EXIT_INVALID
     assert "bad.json" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "despike", "map", "bench"])
+@pytest.mark.parametrize("out_dir", [5, None, ["runs"]])
+def test_out_dir_that_is_not_a_string_exits_invalid_naming_the_file(
+    tmp_path, capsys, monkeypatch, command, out_dir
+):
+    # Path(5) would raise a TypeError that no handler catches
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, {"out_dir": out_dir}, name="bad.json")
+    argv = [command, "--config", config]
+    if command in ("despike", "map"):
+        argv.insert(1, zero_signal_csv(tmp_path))
+    assert main(argv) == EXIT_INVALID
+    assert "bad.json: out_dir must be a string" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["bad.json"] + (["zeros.csv"] if command in ("despike", "map") else [])
+    )
 
 
 class TestSignalCsv:
@@ -1215,6 +1236,27 @@ class TestBenchCommand:
         assert main(["bench", "--config", config, "--out", str(out)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_band_above_nyquist_exits_as_map_does_before_any_separation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = write_config(tmp_path, {"band_hz": [80.0, 300.0]})
+        map_out, bench_out = tmp_path / "map", tmp_path / "bench"
+        argv = ["map", zero_signal_csv(tmp_path), "--config", config, "--out", str(map_out)]
+        assert main(argv) == EXIT_INVALID
+        map_err = capsys.readouterr().err
+        assert map_err == (
+            "error: band_hz must satisfy 0 < low < high < 256.0, got (80.0, 300.0)\n"
+        )
+        calls = []
+        separate = g.despike.separate
+        monkeypatch.setattr(
+            g.despike, "separate", lambda *a, **k: calls.append(a) or separate(*a, **k)
+        )
+        assert main(["bench", "--config", config, "--out", str(bench_out)]) == EXIT_INVALID
+        assert capsys.readouterr().err == map_err
+        assert calls == []
+        assert not map_out.exists() and not bench_out.exists()
 
     def test_accel_flag_is_rejected(self, tmp_path, capsys):
         # both schedules always run; there is no flag to pick one

@@ -1,10 +1,14 @@
-"""Tests for the shared containers and unit conversions."""
+"""Tests for the shared containers, unit conversions and argument checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from gammasep.backends import centered_conv, centered_conv_complex, circular_conv
+from gammasep.cli import RunConfig
+from gammasep.despike import separate
 from gammasep.signal_core import (
     MultiChannelSignal,
     TimeWindow,
@@ -12,6 +16,29 @@ from gammasep.signal_core import (
     oscillation_duration_ms,
     require_positive,
 )
+from gammasep.simulate import SimConfig, gen_gamma_burst
+from gammasep.swt import (
+    FilterPair,
+    WaveletCoefficients,
+    level_for_frequency,
+    swt_decompose,
+    wavelet_filters,
+)
+from gammasep.tfmap import (
+    MorletParams,
+    bandpass,
+    bandpass_taps,
+    envelope_smooth,
+    map_row,
+    morlet_transform,
+    normalize_by_low_band,
+    scales_for_band,
+    spatiotemporal_map,
+)
+from gammasep.tickmodel import run_mapping_pipeline, run_pipeline
+
+FS = 512.0
+BAND = (80.0, 90.0)
 
 
 class TestRequirePositive:
@@ -172,3 +199,110 @@ class TestMultiChannelSignal:
         sig = MultiChannelSignal(512.0, (1, 2), np.zeros((2, 4)))
         assert sig.channel_labels == ("1", "2")
 
+
+
+# every public entry that takes a channel row, the argument that holds the
+# row, and a call of the entry with that row; a new entry is one more line
+ROW_ENTRIES = {
+    "circular_conv": ("x", lambda x: circular_conv(x, np.ones(2), 1)),
+    "centered_conv": ("x", lambda x: centered_conv(x, np.ones(3))),
+    "centered_conv_complex": (
+        "x", lambda x: centered_conv_complex(x, np.ones(3, dtype=complex))
+    ),
+    "FilterPair": ("scaling", lambda x: FilterPair("bad", x)),
+    "WaveletCoefficients": (
+        "approximation",
+        lambda x: WaveletCoefficients(approximation=x, details=(np.zeros(64),)),
+    ),
+    "swt_decompose": ("x", lambda x: swt_decompose(x, wavelet_filters(), 1)),
+    "separate": ("x", lambda x: separate(x, 85.0, FS)),
+    "morlet_transform": (
+        "x", lambda x: morlet_transform(x, MorletParams.for_band(BAND, FS))
+    ),
+    "bandpass": ("x", lambda x: bandpass(x, BAND, FS)),
+    "envelope_smooth": ("x", envelope_smooth),
+    "normalize_by_low_band": (
+        "band_energy", lambda x: normalize_by_low_band(x, np.ones(64), FS)
+    ),
+    "map_row": ("x", lambda x: map_row(x, BAND, MorletParams.for_band(BAND, FS))),
+    "run_pipeline": ("x", run_pipeline),
+    "run_mapping_pipeline": (
+        "x", lambda x: run_mapping_pipeline(x, MorletParams.for_band(BAND, FS), BAND)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+class TestRowRule:
+    def test_refuses_a_complex_row_naming_it(self, entry):
+        # numpy's cast would keep the real part and only warn
+        key, call = ROW_ENTRIES[entry]
+        with pytest.raises(ValueError, match=f"^{key} must be real, got a complex"):
+            call(np.ones(64) + 1j)
+
+    def test_refuses_a_2d_row_naming_it(self, entry):
+        key, call = ROW_ENTRIES[entry]
+        with pytest.raises(ValueError, match=rf"^{key} must be 1-D, got shape \(2, 64\)"):
+            call(np.ones((2, 64)))
+
+
+def _flat_signal():
+    return MultiChannelSignal(FS, ("a",), np.ones((1, 64)))
+
+
+# every entry that takes a band, called with a band at a 512 Hz rate
+BAND_ENTRIES = {
+    "scales_for_band": lambda band: scales_for_band(band, FS),
+    "MorletParams.for_band": lambda band: MorletParams.for_band(band, FS),
+    "bandpass_taps": lambda band: bandpass_taps(band, FS),
+    "spatiotemporal_map": lambda band: spatiotemporal_map(_flat_signal(), band),
+}
+BAND_STEM = "band_hz must satisfy 0 < low < high < "
+
+
+@pytest.mark.parametrize(
+    "band",
+    [(90.0, 80.0), (80.0, 80.0), (0.0, 80.0), (80.0, 85.0, 90.0),
+     (80.0, 300.0), (80.0, 256.0), (math.nan, 90.0), (80.0, math.nan)],
+)
+@pytest.mark.parametrize("entry", sorted(BAND_ENTRIES))
+def test_band_rule_refuses_every_band_but_two_ordered_edges_below_nyquist(entry, band):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{BAND_STEM}256.0, got {band}")):
+        BAND_ENTRIES[entry](band)
+
+
+@pytest.mark.parametrize("band", [(90.0, 80.0), (80.0, 80.0), (80.0, 85.0, 90.0)])
+def test_run_config_refuses_a_band_out_of_order_with_the_band_rule(band):
+    # the rate is the input file's, so the config checks only the order
+    with pytest.raises(ValueError, match="^" + re.escape(f"{BAND_STEM}inf, got {band}")):
+        RunConfig(band_hz=band)
+
+
+def test_run_config_refuses_a_nan_band_edge_as_a_config_number():
+    # every number a config lists must be finite, before any rule reads it
+    with pytest.raises(ValueError, match="^each band_hz entry must be finite"):
+        RunConfig(band_hz=(math.nan, 90.0))
+
+
+def test_run_config_leaves_the_nyquist_bound_to_the_file_rate():
+    assert RunConfig(band_hz=(80.0, 300.0)).band_hz == (80.0, 300.0)
+
+
+# every entry that takes a frequency under a 512 Hz rate
+FREQUENCY_ENTRIES = {
+    "gen_gamma_burst": ("freq_hz", gen_gamma_burst),
+    "level_for_frequency": ("freq_hz", lambda f: level_for_frequency(f, FS)),
+    "SimConfig": (
+        "each burst_freqs_hz entry",
+        lambda f: SimConfig(burst_freqs_hz=(f, 55.0, 85.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("freq", [0.0, -5.0, 256.0, 300.0])
+@pytest.mark.parametrize("entry", sorted(FREQUENCY_ENTRIES))
+def test_frequency_rule_refuses_a_frequency_outside_zero_to_nyquist(entry, freq):
+    key, call = FREQUENCY_ENTRIES[entry]
+    message = f"{key} must lie in (0, 256.0), got {freq}"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call(freq)

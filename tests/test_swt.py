@@ -94,7 +94,7 @@ class TestFilterFamilies:
 
     @pytest.mark.parametrize("bad", [[], [[1.0, 1.0]], 1.0])
     def test_rejects_a_scaling_filter_that_is_not_a_tap_list(self, bad):
-        with pytest.raises(ValueError, match="non-empty 1-D"):
+        with pytest.raises(ValueError, match="^scaling must be"):
             FilterPair(name="bad", scaling=bad)
 
     def test_rejects_nonfinite_taps(self):
@@ -162,6 +162,16 @@ class TestDecompose:
     def test_rejects_two_dimensional_input(self, db4):
         with pytest.raises(ValueError):
             swt_decompose(np.zeros((2, 64)), db4, 1)
+
+    @pytest.mark.parametrize("levels", [True, 2.0])
+    def test_rejects_a_level_count_that_is_not_an_integer(self, db4, levels):
+        # True would run one level, and 2.0 fail inside range() naming nothing
+        with pytest.raises(TypeError, match="^levels must be an integer"):
+            swt_decompose(np.zeros(64), db4, levels)
+
+    def test_rejects_a_level_count_below_one(self, db4):
+        with pytest.raises(ValueError, match="^levels must be >= 1, got 0"):
+            swt_decompose(np.zeros(64), db4, 0)
 
     def test_rejects_complex_input_naming_it(self, db4):
         with pytest.raises(ValueError, match="^x must be real, got a complex"):

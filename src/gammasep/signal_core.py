@@ -107,16 +107,28 @@ def real_row(key, value):
 
 
 def require_band(key, band, sample_rate_hz):
-    """Raise unless `band` is two edges with 0 < low < high < rate / 2."""
+    """Raise unless `band` is two edges with 0 < low < high < rate / 2.
+
+    A band that is not a sequence of numbers raises TypeError by `key`.
+    """
     nyquist = sample_rate_hz / 2.0
-    if len(band) != 2 or not 0 < band[0] < band[1] < nyquist:
+    try:
+        valid = len(band) == 2 and 0 < band[0] < band[1] < nyquist
+    except TypeError:
+        raise TypeError(f"{key} must be two numbers, got {band!r}") from None
+    if not valid:
         raise ValueError(f"{key} must satisfy 0 < low < high < {nyquist}, got {band}")
 
 
 def require_frequency(key, freq_hz, sample_rate_hz):
-    """Raise unless 0 < `freq_hz` < rate / 2."""
+    """Raise unless 0 < `freq_hz` < rate / 2; TypeError, by `key`, for a
+    frequency that is not a number."""
     nyquist = sample_rate_hz / 2.0
-    if not 0 < freq_hz < nyquist:
+    try:
+        valid = 0 < freq_hz < nyquist
+    except TypeError:
+        raise TypeError(f"{key} must be a number, got {freq_hz!r}") from None
+    if not valid:
         raise ValueError(f"{key} must lie in (0, {nyquist}), got {freq_hz}")
 
 

@@ -374,12 +374,21 @@ def map_row(x, band_hz, params):
     result is bit-identical to running the chain over the whole row. An
     all-zero row maps to zeros.
 
-    Raises ValueError for empty or non-1-D input, and when the band energy
-    or the low-band energy overflows.
+    `params` must be `MorletParams.for_band(band_hz, params.sample_rate_hz)`.
+    Raises ValueError when it is not, for empty or non-1-D input, and when
+    the band energy or the low-band energy overflows.
     """
     x = real_row("x", x)
     if x.size == 0:
         raise ValueError("x must not be empty")
+    rate = params.sample_rate_hz
+    require_band("band_hz", band_hz, rate)
+    low, high = band_hz
+    if params != _band_params(float(low), float(high), float(rate)):
+        raise ValueError(
+            f"params must be MorletParams.for_band(band_hz, {rate}) for "
+            f"band_hz {tuple(band_hz)}"
+        )
     row = np.zeros_like(x)
     first, stop, _ = _row_supports(x[None, :])
     first, stop = int(first[0]), int(stop[0])
@@ -390,7 +399,6 @@ def map_row(x, band_hz, params):
     def widen(lo, hi, by):
         return max(lo - by, 0), min(hi + by, n)
 
-    rate = params.sample_rate_hz
     half = _bandpass_length(rate) // 2
     in_lo, in_hi = widen(first, stop, 2 * half)
     bp_lo, bp_hi = widen(first, stop, half)
@@ -402,14 +410,22 @@ def map_row(x, band_hz, params):
         filtered[bp_lo - bank_lo : bp_hi - bank_lo] = bandpass(
             x[in_lo:in_hi], band_hz, rate
         )[bp_lo - in_lo : bp_hi - in_lo]
-        response = morlet_transform(filtered, params)
+        # squared in place; `** 2` is np.square into a second array
+        power = np.abs(morlet_transform(filtered, params))
+        np.square(power, out=power)
         band_energy = np.zeros(hi - lo)
-        band_energy[bank_lo - lo : bank_hi - lo] = np.mean(np.abs(response) ** 2, axis=0)
+        band_energy[bank_lo - lo : bank_hi - lo] = np.mean(power, axis=0)
         smoothed = envelope_smooth(band_energy)
     if not np.isfinite(smoothed).all():
         raise ValueError("band energy is not finite; check the input scale")
     row[lo:hi] = normalize_by_low_band(smoothed, x[lo:hi], rate)
     return row
+
+
+@functools.lru_cache(maxsize=_FILTER_CACHE_SIZE)
+def _band_params(low, high, sample_rate_hz):
+    """`MorletParams.for_band`, built once per band and rate for `map_row`'s check."""
+    return MorletParams.for_band((low, high), sample_rate_hz)
 
 
 def spatiotemporal_map(signal, band_hz):
@@ -484,6 +500,26 @@ def _row_supports(values):
     return first, stop, int(np.count_nonzero(nonzero))
 
 
+def _median_and_mad(values):
+    """`np.median` of the map, and of its absolute deviations from that, bit
+    for bit, from one scratch copy partitioned in place.
+
+    Each median partitions at np.median's indices and takes `np.mean` of the
+    middle one or two values, as np.median does. np.median's NaN check,
+    which imports numpy.ma, is left out: a map is finite.
+    """
+    scratch = values.flatten()
+    half, odd = divmod(scratch.size, 2)
+    kth = [half, -1] if odd else [half - 1, half, -1]
+    middle = slice(half - 1 + odd, half + 1)
+    scratch.partition(kth)
+    med = float(np.mean(scratch[middle]))
+    np.subtract(scratch, med, out=scratch)
+    np.abs(scratch, out=scratch)
+    scratch.partition(kth)
+    return med, float(np.mean(scratch[middle]))
+
+
 def detect_buildup(energy_map):
     """Threshold the map and report the first sustained build-up.
 
@@ -498,11 +534,13 @@ def detect_buildup(energy_map):
 
     Each row's first and last non-zero sample, and the map's count of
     non-zero samples, are found in one pass. When more than half of the
-    map is exact zeros, the median and the MAD are both 0 by definition;
-    otherwise `np.median` sorts the map for both. The threshold is never
-    below the median of a non-negative map, so no exact zero exceeds it,
-    and the peak, the runs and the channel set are read from the rows'
-    spans alone.
+    map is exact zeros, the median and the MAD are both 0 by definition.
+    Otherwise, as on a raw map, one scratch copy of the map is partitioned
+    in place for the median, turned in place into absolute deviations from
+    it, and partitioned again for the MAD; both have `np.median`'s bits.
+    The threshold is never below the median of a non-negative map, so no
+    exact zero exceeds it, and the peak, the runs and the channel set are
+    read from the rows' spans alone.
 
     A sample counts as above the threshold only if strictly greater. The
     onset is the sample at which some channel has stayed above the
@@ -524,8 +562,7 @@ def detect_buildup(energy_map):
         # both middle order statistics of the map and its deviations are zeros
         med = mad = 0.0
     else:
-        med = float(np.median(values))
-        mad = float(np.median(np.abs(values - med)))
+        med, mad = _median_and_mad(values)
     if mad > 0.0:
         threshold = med + K_SIGMA * mad
     else:

@@ -209,6 +209,32 @@ def test_long_strided_calls_take_the_blocked_view(db4, rng, n, stride, blocked):
     assert called.called == (blocked and backends.EINSUM_ROUNDS_TWICE)
 
 
+@pytest.mark.skipif(not backends.EINSUM_ROUNDS_TWICE, reason="a fusing einsum takes the loop")
+def test_blocked_einsum_nests_samples_in_taps_in_blocks(db4, rng):
+    # the bits do not depend on einsum's loop nest, so no property above
+    # fails if order="C" or another view makes einsum read the whole output
+    # once per tap; this pins the call that keeps each block in L1
+    n, stride, k = 30720, 2, db4.dec_lo.size
+    blocks, width, step = n // BLOCK, BLOCK, 8
+    calls, real_einsum = [], np.einsum
+
+    def einsum(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real_einsum(*args, **kwargs)
+
+    with mock.patch.object(backends.np, "einsum", einsum):
+        backends.circular_conv(rng.standard_normal(n), db4.dec_lo, stride)
+    assert [args[0] for args, _ in calls] == ["k,kbn->bn"] * 2
+    # the first block reads the wrap-padded copy, the rest read x itself
+    for (_, _, rows), kwargs in calls:
+        assert kwargs["order"] == "K"
+        assert rows.shape[0] == k and rows.shape[2] == width
+        assert rows.strides == (-stride * step, width * step, step)
+        assert not rows.flags.writeable
+        assert kwargs["out"].shape == rows.shape[1:]
+    assert [rows.shape[1] for (_, _, rows), _ in calls] == [1, blocks - 1]
+
+
 def test_blocked_view_reads_strided_and_read_only_input(db4, rng):
     # the blocked path reads x itself, not a copy
     x = rng.standard_normal(2 * 30720)[::2]

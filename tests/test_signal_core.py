@@ -256,6 +256,7 @@ BAND_ENTRIES = {
     "MorletParams.for_band": lambda band: MorletParams.for_band(band, FS),
     "bandpass_taps": lambda band: bandpass_taps(band, FS),
     "spatiotemporal_map": lambda band: spatiotemporal_map(_flat_signal(), band),
+    "map_row": lambda band: map_row(np.ones(64), band, MorletParams.for_band(BAND, FS)),
 }
 BAND_STEM = "band_hz must satisfy 0 < low < high < "
 
@@ -268,6 +269,15 @@ BAND_STEM = "band_hz must satisfy 0 < low < high < "
 @pytest.mark.parametrize("entry", sorted(BAND_ENTRIES))
 def test_band_rule_refuses_every_band_but_two_ordered_edges_below_nyquist(entry, band):
     with pytest.raises(ValueError, match="^" + re.escape(f"{BAND_STEM}256.0, got {band}")):
+        BAND_ENTRIES[entry](band)
+
+
+@pytest.mark.parametrize("band", [85.0, None, ("80", "90"), (80.0, 85j)])
+@pytest.mark.parametrize("entry", sorted(BAND_ENTRIES))
+def test_band_rule_refuses_a_band_that_is_not_two_numbers_naming_it(entry, band):
+    # not the bare TypeError of len() or <, which names nothing
+    message = f"band_hz must be two numbers, got {band!r}"
+    with pytest.raises(TypeError, match="^" + re.escape(message)):
         BAND_ENTRIES[entry](band)
 
 
@@ -305,4 +315,14 @@ def test_frequency_rule_refuses_a_frequency_outside_zero_to_nyquist(entry, freq)
     key, call = FREQUENCY_ENTRIES[entry]
     message = f"{key} must lie in (0, 256.0), got {freq}"
     with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call(freq)
+
+
+@pytest.mark.parametrize("freq", ["85", None, 85j])
+@pytest.mark.parametrize("entry", sorted(FREQUENCY_ENTRIES))
+def test_frequency_rule_refuses_a_frequency_that_is_not_a_number_naming_it(entry, freq):
+    # not the bare TypeError of <, which names nothing
+    key, call = FREQUENCY_ENTRIES[entry]
+    message = f"{key} must be a number, got {freq!r}"
+    with pytest.raises(TypeError, match="^" + re.escape(message)):
         call(freq)

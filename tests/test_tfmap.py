@@ -37,6 +37,7 @@ from gammasep.tfmap import (
     scales_for_band,
     spatiotemporal_map,
     _first_sustained_run,
+    _median_and_mad,
     _row_supports,
 )
 from frozen import NOISE_MAP_MAX_OVER_MEDIAN
@@ -433,6 +434,25 @@ class TestMapRow:
         )
         assert np.max(np.abs(whole - parts)) > 0.5 * whole.max()
 
+    def test_refuses_params_of_another_band_naming_both(self):
+        params = MorletParams.for_band((20.0, 30.0), FS)
+        message = "params must be MorletParams.for_band(band_hz, 512.0) for band_hz (80.0, 90.0)"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            map_row(sine(85.0, 600), BAND, params)
+
+    def test_refuses_params_of_another_rate_naming_both(self):
+        # the scales of the band at 512 Hz, under a 1024 Hz rate
+        params = MorletParams(2.0 * FS, MorletParams.for_band(BAND, FS).scales)
+        message = "params must be MorletParams.for_band(band_hz, 1024.0) for band_hz (80.0, 90.0)"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            map_row(sine(85.0, 600), BAND, params)
+
+    def test_accepts_the_band_as_a_list_and_the_rate_as_an_integer(self):
+        x = sine(85.0, 600)
+        want = map_row(x, BAND, MorletParams.for_band(BAND, FS))
+        got = map_row(x, list(BAND), MorletParams.for_band(BAND, 512))
+        assert same_bits(got, want)
+
 
 TARGET_BANDS = [(40.0, 50.0), (50.0, 60.0), (80.0, 90.0)]
 
@@ -826,6 +846,43 @@ def supported_maps(draw):
     return values
 
 
+# values where a median or a mean of two can go wrong: signed zeros,
+# subnormals, and pairs whose sum overflows
+_AWKWARD_VALUES = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0,
+                   -1.0, 1e308, 1.7976931348623157e308, -1e308]
+
+
+@st.composite
+def awkward_maps(draw):
+    """Odd and even sizes, often repeating a value from _AWKWARD_VALUES.
+
+    Some maps hold only signed zeros and ones: which zero lands in the
+    middle depends on where the partition puts each equal value.
+    """
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 30)))
+    elements = draw(st.sampled_from([
+        st.one_of(
+            st.sampled_from(_AWKWARD_VALUES),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    ]))
+    return draw(arrays(np.float64, shape, elements=elements))
+
+
+_RAW_DETECTION_SCRIPT = """
+import sys
+import numpy as np
+import gammasep as g
+signal, _ = g.build_realization(g.SimConfig(rng_seed=1), 0)
+energy_map = g.spatiotemporal_map(signal, (80.0, 90.0))
+g.detect_buildup(energy_map)
+values = energy_map.values
+print("median-path" if 2 * np.count_nonzero(values) >= values.size else "zero-path")
+print("numpy.ma" if "numpy.ma" in sys.modules else "no-numpy.ma")
+"""
+
+
 class TestDetectBuildup:
     @settings(deadline=None, max_examples=300)
     @given(supported_maps())
@@ -966,6 +1023,26 @@ class TestDetectBuildup:
         assert detection.channel_indices == (frozenset({0, 1}) if inside else frozenset({0}))
         _, onset, channels, _ = median_buildup(values, K_SIGMA, FS)
         assert (detection.onset_sample, detection.channel_indices) == (onset, channels)
+
+    @settings(deadline=None, max_examples=300)
+    @given(awkward_maps())
+    def test_median_and_mad_have_np_median_bits(self, values):
+        with np.errstate(over="ignore"):
+            want_med = np.median(values)
+            want_mad = np.median(np.abs(values - want_med))
+            med, mad = _median_and_mad(values)
+        assert same_bits(np.float64(med), want_med)
+        assert same_bits(np.float64(mad), want_mad)
+
+    def test_raw_map_and_detection_import_no_numpy_ma(self):
+        # np.median's NaN check imports numpy.ma; a map is finite already
+        package_root = os.path.dirname(os.path.dirname(g.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", _RAW_DETECTION_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.split() == ["median-path", "no-numpy.ma"]
 
     def test_empty_detection_reports_false(self):
         detection = BuildupDetection(

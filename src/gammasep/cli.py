@@ -28,7 +28,6 @@ import numpy as np
 
 from . import despike, simulate, tfmap, tickmodel
 from .signal_core import MultiChannelSignal, number_tuple, require_band
-from .swt import wavelet_filters
 
 __all__ = [
     "RunConfig",
@@ -57,9 +56,9 @@ class RunConfig:
 
     The simulation settings live in `sim`; a config file gives them as
     top-level keys named after the `SimConfig` fields. The analysis is
-    fixed apart from its frequencies: `despike` separates with
-    `wavelet_filters()` (db4) over `despike.DEFAULT_LEVELS` levels, and
-    `map` detects at `tfmap.K_SIGMA` MADs.
+    fixed apart from its frequencies: `despike` separates with db4, built
+    and checked once per process, over `despike.DEFAULT_LEVELS` levels,
+    and `map` detects at `tfmap.K_SIGMA` MADs.
     """
 
     sim: simulate.SimConfig = simulate.SimConfig()
@@ -322,17 +321,13 @@ def cmd_despike(input_path, config):
         )
     if len(targets) == 1:
         targets = targets * signal.n_channels
-    # one filter bank for every channel: building it runs a round-trip check
-    filters = wavelet_filters()
     osc_rows = []
     trans_rows = []
     mask_pairs = []
     split_error = 0.0
     for ch, freq in enumerate(targets):
         try:
-            result = despike.separate(
-                signal.data[ch], freq, signal.sample_rate_hz, filters
-            )
+            result = despike.separate(signal.data[ch], freq, signal.sample_rate_hz)
         except (despike.NoDetectionError, ValueError) as exc:
             raise type(exc)(f"{signal.channel_labels[ch]}: {exc}") from None
         osc_rows.append(result.oscillatory)

@@ -5,11 +5,13 @@ the filters instead of downsampling the signal. Boundaries are periodic, so
 a circular shift of the input shifts every coefficient sequence by the same
 amount, bit for bit. Reconstruction undoes the analysis exactly (to rounding)
 for any filter pair that passes the construction-time round-trip check. The
-one filter bank built in, db4, is eight fixed scaling taps.
+one filter bank built in, db4, is eight fixed scaling taps, built and
+checked once per process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,29 +75,31 @@ class FilterPair:
         return self.scaling.size
 
 
-# Daubechies' 8-tap minimum-phase orthonormal scaling filter, orthonormal
-# to 2.2e-16 in float64; the last digits differ from printed tables by 4e-13
-_DB4_SCALING = (
-    0.23037781330889645,
-    0.7148465705529153,
-    0.6308807679298591,
-    -0.027983769416859688,
-    -0.187034811719093,
-    0.030841381835560625,
-    0.03288301166688516,
-    -0.010597401785069018,
-)
-
-
 def wavelet_filters(name="db4"):
     """Filter pair of db4, the one wavelet the separation uses.
 
-    The taps are fixed data, not computed at run time. Raises ValueError
-    for any name but "db4".
+    The first call builds and checks the pair from fixed taps; every call
+    returns that read-only object. Raises ValueError for any name but "db4".
     """
     if name != "db4":
         raise ValueError(f"unknown wavelet {name!r}; only 'db4' is built in")
-    return FilterPair("db4", _DB4_SCALING)
+    return _db4()
+
+
+@functools.cache
+def _db4():
+    # Daubechies' 8-tap minimum-phase orthonormal scaling filter, orthonormal
+    # to 2.2e-16 in float64; the last digits differ from printed tables by 4e-13
+    return FilterPair("db4", (
+        0.23037781330889645,
+        0.7148465705529153,
+        0.6308807679298591,
+        -0.027983769416859688,
+        -0.187034811719093,
+        0.030841381835560625,
+        0.03288301166688516,
+        -0.010597401785069018,
+    ))
 
 
 @dataclass(frozen=True)

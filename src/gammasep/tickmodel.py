@@ -121,14 +121,14 @@ def separation_stages(n_samples, filters, levels, mask):
     return stages
 
 
-def run_pipeline(x, filters=None, sample_rate_hz=512.0, target_freq_hz=85.0):
-    """Oscillatory part from `despike.separate`, priced under every schedule."""
-    if filters is None:
-        filters = wavelet_filters()
-    result = despike.separate(x, target_freq_hz, sample_rate_hz, filters)
-    stages = separation_stages(
-        result.oscillatory.size, filters, despike.DEFAULT_LEVELS, result.mask_used
-    )
+def run_pipeline(x, sample_rate_hz=512.0, target_freq_hz=85.0):
+    """Oscillatory part from `despike.separate`, priced under every schedule.
+
+    Separation and stage list share db4, built and checked once per process.
+    """
+    result = despike.separate(x, target_freq_hz, sample_rate_hz)
+    n, mask = result.oscillatory.size, result.mask_used
+    stages = separation_stages(n, wavelet_filters(), despike.DEFAULT_LEVELS, mask)
     return result.oscillatory, _report(stages, _pair_max_ticks, result.oscillatory)
 
 
@@ -181,10 +181,11 @@ def benchmark_report(workload, target_freq_hz=85.0, band_hz=(80.0, 90.0)):
     dict carries a CSV table and a text summary, both reproducible byte for
     byte, plus the wall-clock seconds of the `run_pipeline` calls (one
     software separation pass over the workload), kept out of the
-    deterministic parts.
+    deterministic parts. A workload with no channel raises ValueError.
     """
+    if workload.n_channels == 0:
+        raise ValueError("workload has no channel to price")
     fs = workload.sample_rate_hz
-    filters = wavelet_filters()
     params = MorletParams.for_band(band_hz, fs)
     sep_ticks = Counter()
     map_ticks = Counter()
@@ -193,9 +194,7 @@ def benchmark_report(workload, target_freq_hz=85.0, band_hz=(80.0, 90.0)):
     sep_seconds = 0.0
     for x in workload.data:
         start = time.perf_counter()
-        _, sep_report = run_pipeline(
-            x, filters=filters, sample_rate_hz=fs, target_freq_hz=target_freq_hz
-        )
+        _, sep_report = run_pipeline(x, fs, target_freq_hz)
         sep_seconds += time.perf_counter() - start
         _, map_report = run_mapping_pipeline(x, params, band_hz)
         sep_ticks.update(sep_report.ticks)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gammasep as g
+from gammasep import cli
 from gammasep.backends import circular_conv
 from gammasep.swt import (
     FilterPair,
@@ -72,6 +74,37 @@ class TestFilterFamilies:
     def test_non_string_name_rejected(self, name):
         with pytest.raises(ValueError, match="unknown wavelet"):
             wavelet_filters(name)
+
+    def test_db4_is_one_shared_read_only_pair(self):
+        db4 = wavelet_filters()
+        assert db4 is wavelet_filters("db4")
+        for taps in (db4.scaling, db4.dec_lo, db4.dec_hi, db4.rec_lo, db4.rec_hi):
+            assert not taps.flags.writeable
+            with pytest.raises(ValueError):
+                taps[0] = 0.0
+
+    def test_no_separation_path_builds_db4_again(self, tmp_path, monkeypatch):
+        wavelet_filters()
+        built = []
+        check = FilterPair.__post_init__
+
+        def counted(pair):
+            built.append(pair.name)
+            check(pair)
+
+        monkeypatch.setattr(FilterPair, "__post_init__", counted)
+        signal, _ = g.build_realization(g.SimConfig(), 0)
+        for ch in range(signal.n_channels):
+            g.separate(signal.data[ch], 85.0, signal.sample_rate_hz)
+        path = tmp_path / "signal.csv"
+        cli.write_signal_csv(path, signal)
+        out = str(tmp_path / "despike")
+        assert cli.main(["despike", str(path), "--freq", "85", "--out", out]) == 0
+        g.benchmark_report(signal)
+        assert built == []
+        # any other filter still runs the round-trip check when it is built
+        FilterPair("haar", np.array([1.0, 1.0]) / np.sqrt(2.0))
+        assert built == ["haar"]
 
     def test_broken_pair_fails_roundtrip_probe(self):
         # twice an orthonormal filter reconstructs four times its input

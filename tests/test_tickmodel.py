@@ -171,6 +171,11 @@ class TestBenchmarkReport:
         n = workload.n_channels
         assert calls == {"separate": n, "map_row": n}
 
+    def test_refuses_a_workload_with_no_channel(self):
+        empty = g.MultiChannelSignal(FS, (), np.zeros((0, 5000)))
+        with pytest.raises(ValueError, match="workload has no channel to price"):
+            benchmark_report(empty)
+
     def test_wall_clock_is_reported_separately(self, report):
         assert report["wall_clock_s"] > 0.0
         assert "wall" not in report["csv"]

@@ -1,25 +1,42 @@
 """Oscillation/transient separation by rectangular masking of undecimated
 wavelet coefficients.
 
-The pipeline decomposes a channel, finds where the target-band energy
-concentrates, clears a frequency-dependent time and scale rectangle there
-to get the transient coefficients, takes the input minus them as the
-oscillatory ones, and reconstructs both. The two outputs always sum back to
-the input.
+The pipeline decomposes a channel only as deep as the mask's detail
+levels, finds where the target-band energy concentrates, and places a
+frequency-dependent time and scale rectangle there. The coefficients
+inside it (the deepest approximation and the mask's detail levels, inside
+its window) are synthesized as the oscillatory part, and the transient is
+the input minus it, so the two outputs sum back to the input to rounding.
 
-The oscillatory part is synthesized only on its support, and its
-coefficients are subtracted only there. Each synthesis level reads its
-inputs at and after the output sample, up to (k-1)*2**(j-1) samples ahead
-for k taps, so over J levels a coefficient reaches at most (k-1)*(2**J-1)
-samples back: 217 for db4 over 5 levels. Coefficients that
-are zero outside the window therefore give an output that is zero outside
-[window start - 217, window end). The inverse runs unchanged on that crop,
-gathered modulo n, and the result is scattered into zeros. The crop is
-exact, not an approximation: each output inside it is the same sum of the
-same products, and the crop's own wrap-around only reads samples that are
-zero in the full-length synthesis as well, at every level. The kernel sums
-from +0.0, so the sign of a zero operand never reaches the output, and the
-full-length synthesis is +0.0 outside the support, as the scatter writes.
+Each step computes only what a later one reads, and each output it keeps
+is the same sum of the same products, in the same tap order, as in a
+full-length run, so it has the same bits. The circular kernel sums from
++0.0, so the sign of a zero operand never reaches an output.
+
+The analysis runs at full length only down to the mask's deepest level,
+top = max(mask scales), 2 or 3: the detector reads those details. The mask
+reads the deepest approximation only inside its window, and analysis level
+j reads its input at and before the output sample, up to (k-1)*2**(j-1)
+samples back for k taps. So levels top+1 to J run on the window plus the
+(k-1)*(2**top + ... + 2**(J-1)) samples before it, gathered modulo n from
+the level-top approximation, and each level drops its first
+(k-1)*2**(j-1) outputs, the ones that wrap inside the crop. A crop of n or
+more samples is the whole circle, rotated to end with the window, and each
+level then keeps only the last samples that the next one reads.
+
+The oscillatory part is synthesized only on its support. Each synthesis
+level reads its inputs at and after the output sample, up to
+(k-1)*2**(j-1) samples ahead, so over J levels a coefficient reaches at
+most (k-1)*(2**J-1) samples back: 217 for db4 over 5 levels. Coefficients
+that are zero outside the window therefore give an output that is zero
+outside [window start - 217, window end). The inverse runs unchanged on
+that crop, gathered modulo n, from the window's values and +0.0 elsewhere,
+and the result is scattered into zeros. The crop's own wrap-around only
+reads samples that are zero in the full-length synthesis as well, at
+every level, and the full-length synthesis is +0.0 outside the support, as
+the scatter writes. The transient is a copy of the input with the crop
+subtracted: bit for bit the input minus the oscillatory part, and within
+rounding of the full-length synthesis of the coefficients outside the mask.
 
 The detector's moving average is likewise run only where its maximum can
 be. A cumulative sum estimates every box sum to within a bound on its
@@ -48,6 +65,7 @@ from .swt import (
     WaveletCoefficients,
     iswt_reconstruct,
     level_for_frequency,
+    require_levels,
     swt_decompose,
     wavelet_filters,
 )
@@ -245,21 +263,40 @@ def build_mask(center_sample, target_freq_hz, sample_rate_hz, n_samples):
 
 
 def threshold_coeffs(coeffs, mask):
-    """Split coefficients into in-mask and complement parts.
+    """Split coefficients into in-mask and complement parts, at full length.
 
-    The transient part is `_transient_coeffs`: the approximation and the
-    mask's detail levels with the window cleared, every other level whole.
-    The oscillatory part is the input minus it, sequence by sequence, so
-    the two sum to the input coefficients exactly, and for finite
-    coefficients the oscillatory part is the window's values there and +0.0
-    everywhere else.
+    The transient part is the approximation and the mask's detail levels
+    with the window cleared, every other level whole. The oscillatory part
+    is the input minus it, sequence by sequence, so the two sum to the input
+    coefficients exactly, and for finite coefficients the oscillatory part
+    is the window's values there and +0.0 everywhere else. Each cleared copy
+    equals ``seq - seq * indicator`` bit for bit: the two differ only where
+    seq holds -0.0, which the transform never emits. `separate` does not
+    call this: it builds the in-mask coefficients on its crop only, and its
+    oscillatory part is the full-length synthesis of this oscillatory half,
+    bit for bit. This full-length split is kept only as public API and
+    because the benchmark's tracer binds the name; do not extend it, since
+    no separation runs it.
     """
     mask.window.check_within(coeffs.n_samples)
     if max(mask.scales) > coeffs.levels:
         raise ValueError(
             f"mask scales {sorted(mask.scales)} exceed {coeffs.levels} levels"
         )
-    trans = _transient_coeffs(coeffs, mask)
+    window = slice(mask.window.start_sample, mask.window.end_sample)
+
+    def cleared(seq):
+        out = seq.copy()
+        out[window] = 0.0
+        return out
+
+    trans = WaveletCoefficients(
+        approximation=cleared(coeffs.approximation),
+        details=tuple(
+            cleared(d) if level in mask.scales else d
+            for level, d in enumerate(coeffs.details, start=1)
+        ),
+    )
     osc = WaveletCoefficients(
         approximation=coeffs.approximation - trans.approximation,
         details=tuple(d - t for d, t in zip(coeffs.details, trans.details)),
@@ -277,85 +314,100 @@ class SeparationResult:
     detection_center_sample: int
 
 
-def _oscillatory_part(coeffs, trans, window, filters):
-    """Inverse transform of the input minus the transient, run only on its support.
+def _crop(window, reach, n):
+    """Indices of the window and the ``reach`` samples before it, modulo n;
+    n or more samples are the whole circle, rotated to end with the window."""
+    size = min(window.length_samples + reach, n)
+    return np.arange(window.end_sample - size, window.end_sample) % n
+
+
+def _window_approximation(approx, window, filters, top, levels):
+    """The level-``levels`` approximation inside the window, from level top's.
+
+    Level j reads (k-1)*2**(j-1) samples before each output, so the crop
+    starts (k-1)*(2**top + ... + 2**(levels-1)) samples before the window,
+    and each level keeps the last outputs of its circular convolution that
+    the next level reads; the ones it drops wrap inside the crop.
+    """
+    n = approx.size
+    span = filters.length - 1
+    a = approx[_crop(window, span * (2 ** levels - 2 ** top), n)]
+    for j in range(top + 1, levels + 1):
+        keep = min(window.length_samples + span * (2 ** levels - 2 ** j), n)
+        a = circular_conv(a, filters.dec_lo, 2 ** (j - 1))[a.size - keep :]
+    return a
+
+
+def _oscillatory_part(coeffs, approx, mask, filters, levels):
+    """Crop indices and the inverse transform of the in-mask coefficients there.
 
     The crop starts (k-1)*(2**levels-1) samples before the window, as far
-    back as the inverse transform spreads a coefficient, and ends with the
-    window, gathered modulo n; a crop of n or more samples is the whole
-    circle, rotated to start there. Both coefficient sets are gathered and
-    subtracted on the crop only; the differences are the crop's coefficients.
+    back as the inverse transform spreads a coefficient, and ends with it.
+    Its coefficients are +0.0 but for the window's values, which close each
+    sequence: ``approx`` for the approximation, and the window of each of
+    the mask's detail levels.
     """
-    n = coeffs.n_samples
-    reach = (filters.length - 1) * (2 ** coeffs.levels - 1)
-    size = min(window.length_samples + reach, n)
-    crop = np.arange(window.end_sample - size, window.end_sample) % n
-    part = iswt_reconstruct(
-        WaveletCoefficients(
-            approximation=coeffs.approximation[crop] - trans.approximation[crop],
-            details=tuple(
-                d[crop] - t[crop] for d, t in zip(coeffs.details, trans.details)
-            ),
-        ),
-        filters,
-    )
-    out = np.zeros(n)
-    out[crop] = part
-    return out
+    window = mask.window
+    crop = _crop(window, (filters.length - 1) * (2 ** levels - 1), coeffs.n_samples)
+    inside = slice(window.start_sample, window.end_sample)
 
-
-def _transient_coeffs(coeffs, mask):
-    """The coefficients outside the mask: its window set to 0.0 where it keeps.
-
-    The one home of the mask rule: the mask keeps the approximation and its
-    detail levels inside its window. Those sequences are copied with the
-    window cleared; the other detail levels pass through. Each copy equals
-    ``seq - seq * indicator`` bit for bit: the two differ only where seq
-    holds -0.0, which the transform never emits.
-    """
-    window = slice(mask.window.start_sample, mask.window.end_sample)
-
-    def cleared(seq):
-        out = seq.copy()
-        out[window] = 0.0
+    def kept(values):
+        out = np.zeros(crop.size)
+        out[crop.size - values.size :] = values
         return out
 
-    return WaveletCoefficients(
-        approximation=cleared(coeffs.approximation),
-        details=tuple(
-            cleared(d) if level in mask.scales else d
-            for level, d in enumerate(coeffs.details, start=1)
-        ),
+    # the levels outside the mask share one row of zeros
+    details = [np.zeros(crop.size)] * levels
+    for level in mask.scales:
+        details[level - 1] = kept(coeffs.details[level - 1][inside])
+    part = iswt_reconstruct(
+        WaveletCoefficients(approximation=kept(approx), details=tuple(details)),
+        filters,
     )
+    return crop, part
 
 
 def separate(x, target_freq_hz, sample_rate_hz, filters=None,
              levels=DEFAULT_LEVELS):
     """Full separation of one channel at a target frequency.
 
-    Decompose, locate the oscillatory event, mask, reconstruct both parts.
-    The transient is synthesized at full length from the coefficients
-    outside the mask. The oscillatory part, from the input minus those, is
-    synthesized only on the window plus the (k-1)*(2**levels-1) samples
-    before it, where it can be non-zero, and is exact zeros elsewhere (see
-    the module docstring); both are bit-identical to a full-length synthesis
-    of ``threshold_coeffs``' two halves. Raises NoDetectionError when
+    Decompose to the mask's deepest level, locate the oscillatory event,
+    mask, and synthesize the oscillatory part from the coefficients inside
+    the mask, only on the window plus the (k-1)*(2**levels-1) samples before
+    it, where it can be non-zero; it is exact zeros elsewhere. The
+    approximation that it needs below the mask's levels is computed only
+    over what that synthesis reads (see the module docstring). The
+    oscillatory part is bit-identical to a full-length synthesis of
+    ``threshold_coeffs``' in-mask half, and the transient is bit for bit
+    ``x - oscillatory``. Raises ValueError when x is too short for
+    ``levels`` or the target needs more levels, and NoDetectionError when
     nothing can be localized.
     """
     if filters is None:
         filters = wavelet_filters()
+    x = require_levels(x, levels)
+    # a target whose mask levels pass `levels` reaches the detector with
+    # `levels` levels, and the detector refuses it
+    top = min(max(mask_scales(target_freq_hz, sample_rate_hz)), levels)
     # an overflow is reported by the detector as a ValueError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = swt_decompose(x, filters, levels)
-    center = detect_oscillation_center(
-        coeffs, target_freq_hz, sample_rate_hz,
-        filter_length=filters.length,
-    )
-    mask = build_mask(center, target_freq_hz, sample_rate_hz, coeffs.n_samples)
-    trans = _transient_coeffs(coeffs, mask)
+        coeffs = swt_decompose(x, filters, top)
+        center = detect_oscillation_center(
+            coeffs, target_freq_hz, sample_rate_hz,
+            filter_length=filters.length,
+        )
+        mask = build_mask(center, target_freq_hz, sample_rate_hz, x.size)
+        approx = _window_approximation(
+            coeffs.approximation, mask.window, filters, top, levels
+        )
+    crop, part = _oscillatory_part(coeffs, approx, mask, filters, levels)
+    oscillatory = np.zeros(x.size)
+    oscillatory[crop] = part
+    transient = x.copy()
+    transient[crop] -= part
     return SeparationResult(
-        oscillatory=_oscillatory_part(coeffs, trans, mask.window, filters),
-        transient=iswt_reconstruct(trans, filters),
+        oscillatory=oscillatory,
+        transient=transient,
         mask_used=mask,
         detection_center_sample=center,
     )

@@ -135,6 +135,17 @@ class WaveletCoefficients:
         return self.approximation.size
 
 
+def require_levels(x, levels):
+    """x as a float64 row, refused when it has fewer than 2**levels samples."""
+    x = real_row("x", x)
+    require_integer("levels", levels)
+    if 2 ** levels > x.size:
+        raise ValueError(
+            f"signal of length {x.size} too short for {levels} levels"
+        )
+    return x
+
+
 def swt_decompose(x, filters, levels):
     """Undecimated analysis of a 1-D signal over the given number of levels.
 
@@ -143,12 +154,7 @@ def swt_decompose(x, filters, levels):
     powers of two (equivalent to convolving with the zero-inserted filters).
     Every detail level is kept, and only the deepest approximation.
     """
-    x = real_row("x", x)
-    require_integer("levels", levels)
-    if 2 ** levels > x.size:
-        raise ValueError(
-            f"signal of length {x.size} too short for {levels} levels"
-        )
+    x = require_levels(x, levels)
     details = []
     a = x
     for j in range(1, levels + 1):

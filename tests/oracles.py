@@ -5,12 +5,13 @@ sharing no convolution or masking code with the package under test. The
 undecimated transform builds explicit zero-stuffed filters and convolves
 via wrapped padding; masking and detection are index arithmetic on plain
 arrays. Slow and obvious on purpose. The exceptions are `full_map_row`,
-the map chain run over every sample of a row, and `full_separate`, both
-syntheses run over every sample of a channel: they are built from the
-package's own stages, because they are the references for the crops that
-`tfmap.map_row` and `despike.separate` make, not for the stages themselves.
-`full_separate` still splits the coefficients with its own indicator
-arithmetic, so that it checks the package's mask rule instead of reusing it.
+the map chain run over every sample of a row, and `full_separate` and
+`synthesized_transient`, the syntheses run over every sample of a channel:
+they are built from the package's own stages, because they are the
+references for the crops that `tfmap.map_row` and `despike.separate` make,
+not for the stages themselves. Both split the coefficients with their own
+indicator arithmetic, so that they check the package's mask rule instead
+of reusing it.
 `fresh_map_row` is the whole-row chain with every filter built anew on
 each call, the reference for the taps and banks that `tfmap` keeps.
 Filters of every even length come from a rotation lattice, not from the
@@ -395,17 +396,33 @@ def fresh_map_row(x, band_hz, params):
     return out
 
 
+def _indicator_split(coeffs, mask):
+    """The in-mask coefficients by a 0/1 indicator: the approximation and the
+    mask's detail levels times it, zeros at the other levels."""
+    n = coeffs.n_samples
+    window = np.zeros(n)
+    window[mask.window.start_sample : mask.window.end_sample] = 1.0
+    return coeffs.approximation * window, [
+        d * window if level in mask.scales else np.zeros(n)
+        for level, d in enumerate(coeffs.details, start=1)
+    ]
+
+
+def _synthesized(approximation, details, filters):
+    from gammasep.swt import WaveletCoefficients, iswt_reconstruct
+
+    return iswt_reconstruct(WaveletCoefficients(approximation, tuple(details)), filters)
+
+
 def full_separate(x, target_freq_hz, sample_rate_hz, filters, levels=5):
-    """Both parts synthesized over every sample, masked by a 0/1 indicator.
+    """The oscillatory part synthesized over every sample, masked by a 0/1
+    indicator, and the transient as the input minus it.
 
     The package places the mask; the split is plain arithmetic, as in
-    ref_separate: the oscillatory part is the approximation and the mask's
-    detail levels times the indicator, zeros at the other levels, and the
-    transient part is the input minus it. Returns (oscillatory, transient,
-    mask).
+    ref_separate. Returns (oscillatory, transient, mask).
     """
     from gammasep.despike import build_mask, detect_oscillation_center
-    from gammasep.swt import WaveletCoefficients, iswt_reconstruct, swt_decompose
+    from gammasep.swt import swt_decompose
 
     x = np.asarray(x, dtype=np.float64)
     coeffs = swt_decompose(x, filters, levels)
@@ -413,25 +430,78 @@ def full_separate(x, target_freq_hz, sample_rate_hz, filters, levels=5):
         coeffs, target_freq_hz, sample_rate_hz, filter_length=filters.length
     )
     mask = build_mask(center, target_freq_hz, sample_rate_hz, x.size)
-    window = np.zeros(x.size)
-    window[mask.window.start_sample : mask.window.end_sample] = 1.0
-    osc_approx = coeffs.approximation * window
-    osc_details = [
-        d * window if level in mask.scales else np.zeros(x.size)
-        for level, d in enumerate(coeffs.details, start=1)
-    ]
+    osc = _synthesized(*_indicator_split(coeffs, mask), filters)
+    return osc, x - osc, mask
 
-    def synthesized(approximation, details):
-        return iswt_reconstruct(
-            WaveletCoefficients(approximation, tuple(details)), filters
-        )
 
-    osc = synthesized(osc_approx, osc_details)
-    trans = synthesized(
+def synthesized_transient(x, mask, filters, levels=5):
+    """The full-length inverse transform of the coefficients outside the mask:
+    every coefficient of x minus its indicator-masked part."""
+    from gammasep.swt import swt_decompose
+
+    coeffs = swt_decompose(np.asarray(x, dtype=np.float64), filters, levels)
+    osc_approx, osc_details = _indicator_split(coeffs, mask)
+    return _synthesized(
         coeffs.approximation - osc_approx,
         [d - o for d, o in zip(coeffs.details, osc_details)],
+        filters,
     )
-    return osc, trans, mask
+
+
+def transient_rounding_bound(filters, levels):
+    """C such that the two transients differ by at most C * 2**-53 * max|x|.
+
+    One transient is ``x - S(o)``, the other ``S(c - o)``: c is the computed
+    analysis of x, o its in-mask part (c's entries inside the mask, zeros
+    elsewhere, so o and c - o split c entry by entry) and S the inverse as
+    computed; `separate`'s crops give the same bits as the full-length c and
+    S(o). Take u = 2**-53, k taps h, J levels, g = (k+1)u / (1 - (k+1)u)
+    and r(m) = sum_i h[i] h[i+m]. Above the subnormal range, where every
+    rounding is relative and halving is exact, their difference is the sum
+    of:
+
+    - E x, with E the inverse after the analysis, minus the identity, in
+      exact arithmetic with the float taps. One level's E has the kernel
+      r(m) - [m = 0] at the even lags (rec_hi's autocorrelation is r's
+      with the odd lags negated, so those cancel); a deeper level's adds
+      its own E filtered by the level's low-pass pair, whose kernel is r/2.
+      All are circular filters, so by the l1 norms of their kernels,
+      |E x| <= e * (1 + q + ... + q**(J-1)) * max|x|,
+      e = sum over even m of |r(m) - [m = 0]|, q = sum over m of |r(m)| / 2.
+    - The rounding of the analysis and both syntheses. A circular
+      convolution sums k products from +0.0, so each output differs from
+      the exact sum by at most g times the same sum taken with |h| over the
+      absolute inputs; the one more rounded addition of a synthesis level
+      keeps that within g. By induction
+      over the levels, the computed c lies within (1+g)**J - 1 of exact,
+      relative to the |h|-transform A of |x|, and each synthesis within
+      (1+g)**J - 1, relative to the |h|-inverse S' of its absolute input.
+      S'(|c - o| + |o|) = S'|c|, so the two syntheses and the error of c
+      add up to ((1+g)**(2J) - 1) * S'A|x|.
+    - The final subtraction's rounding, u * (|x| + |S(o)|), with
+      |S(o)| <= (1+g)**(2J) * S'A|x|.
+
+    S'A is a sum of circular filters with non-negative taps, one per path
+    from x to the output: detail level i's path has i analysis and i
+    synthesis filters, each of l1 norm L = sum |h|, the synthesis ones
+    halved. So max S'A|x| <= N * max|x|, N = P + P**2 + ... + P**J + P**J
+    with P = L**2 / 2. The bound is taken in rationals from the taps' exact
+    values and rounded up.
+    """
+    from fractions import Fraction
+
+    h = [Fraction(float(t)) for t in filters.scaling]
+    k, u = len(h), Fraction(1, 2**53)
+    r = {m: sum(h[i] * h[i + m] for i in range(k - m)) for m in range(k)}
+    e = abs(r[0] - 1) + 2 * sum(abs(r[m]) for m in range(2, k, 2))
+    q = (abs(r[0]) + 2 * sum(abs(r[m]) for m in range(1, k))) / 2
+    pr_defect = e * sum(q**i for i in range(levels))
+    g = (k + 1) * u / (1 - (k + 1) * u)
+    growth = (1 + g) ** (2 * levels)
+    p = sum(abs(t) for t in h) ** 2 / 2
+    paths = sum(p**i for i in range(1, levels + 1)) + p**levels
+    bound = (pr_defect + (growth - 1) * paths + u * (1 + growth * paths)) / u
+    return math.nextafter(float(bound), math.inf)
 
 
 def median_buildup(values, k_sigma, sample_rate_hz):

@@ -1,6 +1,7 @@
 """Tests for the rectangular-mask oscillation/transient separation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from oracles import (
     random_orthonormal_filters,
     ref_mask_plan,
     same_bits,
+    synthesized_transient,
+    transient_rounding_bound,
 )
 
 FS = 512.0
@@ -508,12 +511,23 @@ def at_every_filter_length(test):
     return test
 
 
+def assert_transient_within_rounding(x, transient, synthesized, filters, levels=5):
+    """The subtracted transient is within the derived rounding bound of the
+    full-length synthesis of the coefficients outside the mask."""
+    bound = transient_rounding_bound(filters, levels) * 2.0**-53 * np.max(np.abs(x))
+    assert np.max(np.abs(transient - synthesized)) <= bound
+
+
 def assert_matches_full_synthesis(x, freq, filters, levels=5):
     result = separate(x, freq, FS, filters, levels=levels)
     osc, trans, mask = full_separate(x, freq, FS, filters, levels)
     assert result.mask_used == mask
     assert same_bits(result.oscillatory, osc)
     assert same_bits(result.transient, trans)
+    assert_transient_within_rounding(
+        x, result.transient, synthesized_transient(x, mask, filters, levels),
+        filters, levels,
+    )
     return result
 
 
@@ -538,6 +552,14 @@ class TestSupportLocalSynthesis:
              place="right", fraction=0.01, seed=2)
     @example(n=200, filters=DB4, levels=5, decade=3, freq=55.0,
              place="inside", fraction=0.3, seed=3)
+    # a window at sample 0: the deep-approximation crop (the window plus
+    # 7 * (8 + 16) = 168 samples before it at 45 Hz) wraps past it
+    @example(n=5000, filters=DB4, levels=5, decade=0, freq=45.0,
+             place="left", fraction=0.02, seed=4)
+    # n just above 2**levels, a 77-sample window: that crop, window plus
+    # 7 * (4 + ... + 32) = 420 samples, covers the whole circle
+    @example(n=80, filters=DB4, levels=6, decade=0, freq=85.0,
+             place="inside", fraction=0.5, seed=5)
     @at_every_filter_length
     def test_matches_full_synthesis_on_any_stretch(
         self, n, filters, levels, decade, freq, place, fraction, seed
@@ -569,7 +591,9 @@ class TestSupportLocalSynthesis:
                     swt_decompose(row, db4, 5), result.mask_used
                 )
                 assert same_bits(g.iswt_reconstruct(osc, db4), result.oscillatory)
-                assert same_bits(g.iswt_reconstruct(trans, db4), result.transient)
+                assert_transient_within_rounding(
+                    row, result.transient, g.iswt_reconstruct(trans, db4), db4
+                )
 
     def test_matches_full_synthesis_on_a_long_channel(self, db4):
         config = g.SimConfig(n_samples=30720)
@@ -580,6 +604,78 @@ class TestSupportLocalSynthesis:
         assert window.start_sample - 217 <= support[0]
         assert support[-1] < window.end_sample
 
+    def test_matches_full_synthesis_on_a_four_minute_channel(self, db4):
+        config = g.SimConfig(n_samples=122880)
+        signal, _ = g.build_realization(config, 0)
+        for freq in (45.0, 55.0, 85.0):
+            assert_matches_full_synthesis(signal.data[2], freq, db4)
+
+    def test_only_the_mask_levels_run_at_full_length(self, db4, monkeypatch):
+        # at 85 Hz the mask's levels are 1 and 2: four full-length analysis
+        # convolutions, and every other one on a crop of at most the
+        # window plus its 217-sample synthesis reach
+        signal, _ = g.build_realization(g.SimConfig(n_samples=30720), 0)
+        lengths = []
+
+        def recorded(x, taps, stride=1):
+            lengths.append(x.size)
+            return g.backends.circular_conv(x, taps, stride)
+
+        for module in (g.swt, g.despike):
+            monkeypatch.setattr(module, "circular_conv", recorded)
+        result = separate(signal.data[2], 85.0, FS, db4)
+        assert lengths.count(30720) == 4
+        assert len(lengths) == 4 + 3 + 10 + 1
+        assert max(set(lengths) - {30720}) <= result.mask_used.window.length_samples + 217
+
+
+class TestSubtractedTransient:
+    """The transient is the input minus the oscillatory part, bit for bit."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n=st.integers(32, 4096),
+        filters=orthonormal_filters,
+        levels=st.integers(3, 6),
+        decade=st.integers(-6, 6),
+        freq=st.sampled_from([45.0, 55.0, 85.0]),
+        fraction=st.floats(0.0, 1.0),
+        negative_zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a background of -0.0, which the subtraction keeps outside the crop
+    @example(n=80, filters=DB4, levels=6, decade=0, freq=85.0,
+             fraction=0.5, negative_zeros=True, seed=2)
+    def test_is_the_input_minus_the_oscillatory_part(
+        self, n, filters, levels, decade, freq, fraction, negative_zeros, seed
+    ):
+        assume(2**levels <= n)
+        rng = np.random.default_rng(seed)
+        length = max(1, int(fraction * n))
+        x = np.full(n, -0.0 if negative_zeros else 0.0)
+        start = int(rng.integers(0, n - length + 1))
+        x[start : start + length] = rng.standard_normal(length) * 10.0**decade
+        result = separate(x, freq, FS, filters, levels=levels)
+        assert same_bits(result.transient, x - result.oscillatory)
+
+
+class TestRefusals:
+    """separate refuses each input it cannot split with its exact message."""
+
+    @pytest.mark.parametrize("x,freq,levels,error,message", [
+        (np.ones(20), 85.0, 5, ValueError,
+         "signal of length 20 too short for 5 levels"),
+        (np.ones(512), 45.0, 2, ValueError,
+         "target 45.0 Hz needs more than the 2 levels the coefficients "
+         "cover; the lowest target they reach is 64.0 Hz"),
+        (np.zeros(512), 45.0, 5, NoDetectionError,
+         "no oscillatory energy found near 45.0 Hz"),
+        (spikes(512, [200, 201, 202], [1.7e308, 1.7e308, -1.7e308]), 85.0, 5,
+         ValueError, "detail energy near 85.0 Hz is not finite; check the input scale"),
+    ])
+    def test_exact_message(self, x, freq, levels, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            separate(x, freq, FS, levels=levels)
 
 
 class TestRecordingEdges:

@@ -2,7 +2,8 @@
 
 The circular kernel adds each tap's product with its slice of a
 wrap-padded copy of the input to a sum that starts at +0.0, in ascending
-tap order, so its output is reproducible to the bit. One ``np.einsum``
+tap order, so its output is reproducible to the bit. It keeps a float32
+input in float32, through the same views. One ``np.einsum``
 over a sheared view of the copy makes each tap's multiply-adds in one pass
 (db4 at stride 2 on 30720 samples: about 195 against 300 us per call for
 a multiply pass and an add pass per tap, on a 2-vCPU host). An input of
@@ -102,7 +103,7 @@ def _long_conv(x, taps, stride):
     blocks = -(-n // BLOCK)
     width = n // blocks
     whole = blocks * width
-    y = np.empty(n)
+    y = np.empty(n, x.dtype)
     out = y[:whole].reshape(blocks, width)
     _blocked_sum(np.concatenate((x[n - span :], x[:width])), taps, stride, out[:1])
     _blocked_sum(x[width - span :], taps, stride, out[1:])
@@ -115,7 +116,7 @@ def _long_conv(x, taps, stride):
 def _loop_sum(xp, taps, n, stride):
     """The same sum, one product and one sum of n samples per tap."""
     span = (taps.shape[0] - 1) * stride
-    product = np.empty(n)
+    product = np.empty(n, xp.dtype)
     for m, tap in enumerate(taps.tolist()):
         start = span - m * stride
         np.multiply(xp[start : start + n], tap, out=product)
@@ -163,7 +164,13 @@ def circular_conv(x, taps, stride=1):
     ``y[i] = sum_m taps[m] * x[(i - m*stride) mod n]``
 
     ``x`` and ``taps`` are real 1-D arrays (a complex one is refused, not
-    cut to its real part) and ``stride`` is a non-negative integer.
+    cut to its real part) and ``stride`` is a non-negative integer. A
+    float32 ``x`` stays float32, with the taps rounded to float32, through
+    the same views and the same einsum calls as a float64 one (the
+    separation's detection screen analyses its input so); every other
+    input is cast to float64, and so are float32 taps on it. The probe
+    below checks only the float64 rounding: float32 outputs are used only
+    through a bound on their rounding that holds in any order.
     The taps span ``span = (k-1)*stride`` samples. The input is copied once
     with its last ``span`` samples in front, ``xp[j] = x[(j - span) mod n]``
     (only the first block's share of it on the blocked path below), so tap
@@ -213,8 +220,10 @@ def circular_conv(x, taps, stride=1):
       the two roundings differ, on both views, decides this; on x86-64
       numpy rounds twice.
     """
-    x = real_row("x", x)
-    taps = real_row("taps", taps)
+    x = np.asarray(x)
+    if x.dtype != np.float32 or x.ndim != 1:
+        x = real_row("x", x)
+    taps = real_row("taps", taps).astype(x.dtype, copy=False)
     if (
         not isinstance(stride, (int, np.integer))
         or isinstance(stride, bool)

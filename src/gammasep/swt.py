@@ -171,7 +171,10 @@ def iswt_reconstruct(coeffs, filters):
     filter delay, so unmodified coefficients reproduce the input to rounding.
     The second convolution is added into the first in place, and half of
     the sum is written, rotated, straight into the next level's array: the
-    same products and sums as ``0.5 * np.roll(lo + hi, -delay)``.
+    same products and sums as ``0.5 * np.roll(lo + hi, -delay)``. A level
+    whose details are all zero skips the second convolution: it would be
+    +0.0 everywhere, and the first never holds -0.0 (`circular_conv` sums
+    from +0.0), so adding it changes no bit.
     """
     if not isinstance(coeffs, WaveletCoefficients):
         raise ValueError("coeffs must be WaveletCoefficients")
@@ -181,7 +184,9 @@ def iswt_reconstruct(coeffs, filters):
     for j in range(coeffs.levels, 0, -1):
         stride = 2 ** (j - 1)
         mixed = circular_conv(a, filters.rec_lo, stride)
-        mixed += circular_conv(coeffs.details[j - 1], filters.rec_hi, stride)
+        d = coeffs.details[j - 1]
+        if d.any():
+            mixed += circular_conv(d, filters.rec_hi, stride)
         delay = (taps_len - 1) * stride % max(n, 1)
         a = np.empty(n)
         np.multiply(mixed[delay:], 0.5, out=a[: n - delay])

@@ -343,6 +343,51 @@ def test_every_alignment_equals_rolled_copies_exactly(db4, rng, filters, stride)
             assert same_bits(got, want)
 
 
+# a float32 sum of k products from +0.0, each rounded, is within
+# g(k) = k*u / (1 - k*u), u = 2**-24, of the sum of their absolute values,
+# plus 2**-149 a product below the normal range (`despike._screen_arc`)
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.sampled_from([1, LONG - 1, LONG, 30720]) | st.integers(1, 600),
+    k=st.integers(1, 16),
+    stride=st.integers(0, 40),
+    decade=st.integers(-40, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=30720, k=8, stride=2, decade=0, seed=0)
+def test_float32_rows_stay_float32_within_the_rounding_bound(n, k, stride, decade, seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal(n) * 10.0**decade).astype(np.float32)
+    taps = rng.standard_normal(k).astype(np.float32)
+    y = backends.circular_conv(x, taps, stride)
+    assert y.dtype == np.float32 and y.shape == (n,)
+    # products of float32 values are exact in float64, and their float64
+    # sums are within k * 2**-53 of exact
+    exact = roll_conv(x.astype(np.float64), taps.astype(np.float64), stride)
+    size = roll_conv(np.abs(x.astype(np.float64)), np.abs(taps.astype(np.float64)), stride)
+    g32 = k * 2.0**-24 / (1 - k * 2.0**-24)
+    assert np.all(np.abs(y - exact) <= (g32 + k * 2.0**-52) * size + k * 2.0**-149)
+
+
+def test_float32_rows_take_the_float64_rows_views(db4, rng):
+    # float32 rows go through the same einsum views as float64 ones, and
+    # float64 taps are rounded to float32 for them
+    x = rng.standard_normal(30720).astype(np.float32)
+    with mock.patch.object(backends, "_long_conv", wraps=backends._long_conv) as long:
+        blocked = backends.circular_conv(x, db4.dec_lo, 2)
+        assert long.called == backends.EINSUM_ROUNDS_TWICE
+    one_row = backends.circular_conv(x, db4.dec_lo.astype(np.float32), 1)
+    assert blocked.dtype == one_row.dtype == np.float32
+    assert same_bits(blocked, backends.circular_conv(x, db4.dec_lo.astype(np.float32), 2))
+    # float32 taps on a float64 row are float64 taps
+    x64 = rng.standard_normal(500)
+    taps = db4.dec_hi.astype(np.float32)
+    assert same_bits(
+        backends.circular_conv(x64, taps, 4),
+        backends.circular_conv(x64, taps.astype(np.float64), 4),
+    )
+
+
 def test_circular_conv_of_empty_input_is_empty():
     y = backends.circular_conv(np.zeros(0), np.ones(8), 4)
     assert y.shape == (0,)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import gammasep as g
 from gammasep.despike import (
+    SCREEN_RANGE,
     NoDetectionError,
     RectMask,
     analysis_advance,
@@ -610,23 +611,36 @@ class TestSupportLocalSynthesis:
         for freq in (45.0, 55.0, 85.0):
             assert_matches_full_synthesis(signal.data[2], freq, db4)
 
-    def test_only_the_mask_levels_run_at_full_length(self, db4, monkeypatch):
-        # at 85 Hz the mask's levels are 1 and 2: four full-length analysis
-        # convolutions, and every other one on a crop of at most the
-        # window plus its 217-sample synthesis reach
+    # the float32 screen's full-length calls are the high-pass of each mask
+    # level and the low-pass levels above it: 1 and 2 at 85 Hz, 1 to 3 at
+    # 45 Hz, 2 and 3 at 55 Hz. The float64 crop cascade makes 5 low-pass
+    # and one high-pass per mask level, the smoother 1, and the synthesis
+    # 5 low-pass and one high-pass per non-zero level of the window
+    @pytest.mark.parametrize("freq, screened, cropped", [
+        (85.0, 3, 5 + 2 + 1 + 5 + 2),
+        (45.0, 5, 5 + 3 + 1 + 5 + 3),
+        (55.0, 4, 5 + 2 + 1 + 5 + 2),
+    ])
+    def test_only_the_mask_levels_run_at_full_length(
+        self, db4, monkeypatch, freq, screened, cropped
+    ):
+        # every full-length call is float32 and read by the screen, and
+        # every float64 call runs on a crop of a few hundred samples
         signal, _ = g.build_realization(g.SimConfig(n_samples=30720), 0)
-        lengths = []
+        calls = []
 
         def recorded(x, taps, stride=1):
-            lengths.append(x.size)
-            return g.backends.circular_conv(x, taps, stride)
+            y = g.backends.circular_conv(x, taps, stride)
+            calls.append((y.size, y.dtype))
+            return y
 
         for module in (g.swt, g.despike):
             monkeypatch.setattr(module, "circular_conv", recorded)
-        result = separate(signal.data[2], 85.0, FS, db4)
-        assert lengths.count(30720) == 4
-        assert len(lengths) == 4 + 3 + 10 + 1
-        assert max(set(lengths) - {30720}) <= result.mask_used.window.length_samples + 217
+        separate(signal.data[[45.0, 55.0, 85.0].index(freq)], freq, FS, db4)
+        assert [c for c in calls if c[1] == np.float32] == [(30720, np.float32)] * screened
+        crops = [size for size, dtype in calls if dtype == np.float64]
+        assert len(crops) == cropped
+        assert max(crops) < 1000
 
 
 class TestSubtractedTransient:
@@ -676,6 +690,148 @@ class TestRefusals:
     def test_exact_message(self, x, freq, levels, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             separate(x, freq, FS, levels=levels)
+
+
+# TestRefusals' messages for the errors that the full-length rule raises
+REFUSALS = {
+    NoDetectionError: "no oscillatory energy found near {} Hz",
+    ValueError: "detail energy near {} Hz is not finite; check the input scale",
+}
+
+
+def unit_peak_recording(freq=85.0, n=5000, seed=3):
+    """1/f noise, a burst at sample 2000 and a spike at 3500, divided by its
+    largest magnitude, which is then exactly 1.0."""
+    x = (
+        g.gen_colored_noise(n, seed)
+        + placed(g.gen_gamma_burst(freq), 2000, n)
+        + placed(g.gen_transient(), 3500, n)
+    )
+    return x / np.max(np.abs(x))
+
+
+def peak_at(edge, toward=None):
+    """unit_peak_recording scaled by a power of two so that max|x| is
+    exactly `edge`, its largest sample moved one step toward `toward`."""
+    x = unit_peak_recording() * edge
+    if toward is not None:
+        i = int(np.argmax(np.abs(x)))
+        x[i] = math.copysign(np.nextafter(edge, toward), x[i])
+    return x
+
+
+def slow_wave_impulses():
+    """Three cycles of a unit sine over 2048 samples, with impulses of 1e-3
+    at sample 500 and 1e-3 * (1 - 5e-6) at sample 1400."""
+    x = np.sin(2.0 * np.pi * 3.0 * np.arange(2048) / 2048.0)
+    x[500] += 1e-3
+    x[1400] += 1e-3 * (1.0 - 5e-6)
+    return x
+
+
+LOW, HIGH = SCREEN_RANGE
+
+
+@st.composite
+def screened_recordings(draw):
+    """(x, filters, levels, target): 1/f noise, bursts and spikes from the
+    simulate generators, wrapped past the end anywhere, at amplitudes from
+    1e-18 to 1e18 (both edges of SCREEN_RANGE inside), with a random
+    lattice filter. Half the lengths are drawn from 1024 up, so that more
+    examples take the screen: a short input mostly takes the full-length
+    rule."""
+    levels = draw(st.integers(3, 6))
+    n = draw(st.integers(2**levels, 8192) | st.integers(1024, 8192))
+    freq = draw(st.sampled_from([45.0, 55.0, 85.0]))
+    noise = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    x = noise * g.gen_colored_noise(n, draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        template = g.gen_gamma_burst(freq) if draw(st.booleans()) else g.gen_transient()
+        at = np.arange(template.size) + draw(st.integers(0, n - 1))
+        x[at % n] += draw(st.floats(0.1, 20.0)) * template
+    x *= 10.0 ** draw(st.integers(-18, 18))
+    return x, draw(orthonormal_filters), levels, freq
+
+
+class TestScreenedDetection:
+    """The float32 screen leaves separate on the full-length rule's bits."""
+
+    @settings(deadline=None)
+    @given(case=screened_recordings())
+    # two equal bursts: an exact tie, which goes to the earliest
+    @example(case=(placed(g.gen_gamma_burst(45.0), 1000)
+                   + placed(g.gen_gamma_burst(45.0), 3000), DB4, 5, 45.0))
+    # max|x| at each edge of the range, and one step past it
+    @example(case=(peak_at(LOW), DB4, 5, 85.0))
+    @example(case=(peak_at(LOW, 0.0), DB4, 5, 85.0))
+    @example(case=(peak_at(HIGH), DB4, 5, 55.0))
+    @example(case=(peak_at(HIGH, math.inf), DB4, 5, 55.0))
+    # a burst whose float32 energies lie below float32's normal range,
+    # beside a spike that puts max|x| inside the range
+    @example(case=(2.0**-30 * placed(g.gen_transient(), 600)
+                   + 2.0**-72 * placed(g.gen_gamma_burst(85.0), 2500), DB4, 5, 85.0))
+    # equal spikes at both ends, whose boxes cross the wrap
+    @example(case=(placed(g.gen_transient(), 0) + placed(g.gen_transient(), 4990),
+                   DB4, 5, 85.0))
+    # near-equal impulses on a slow wave, whose float32 details lose digits
+    # to it: without the float32 margin the screen rules out the true peak
+    @example(case=(slow_wave_impulses(), DB4, 5, 85.0))
+    # all zeros, and an energy that overflows
+    @example(case=(np.zeros(512), DB4, 5, 45.0))
+    @example(case=(spikes(512, [200], 1e308), DB4, 5, 45.0))
+    def test_centre_and_parts_are_the_full_length_rule(self, case):
+        x, filters, levels, freq = case
+        top = min(max(mask_scales(freq, FS)), levels)
+        try:
+            center = box_peak_center(
+                swt_decompose(x, filters, top), freq, FS, filters.length
+            )
+        except (ValueError, NoDetectionError) as exc:
+            message = REFUSALS[type(exc)].format(freq)
+            with pytest.raises(type(exc), match=f"^{re.escape(message)}$"):
+                separate(x, freq, FS, filters, levels=levels)
+            return
+        result = separate(x, freq, FS, filters, levels=levels)
+        assert result.detection_center_sample == center
+        osc, trans, mask = full_separate(x, freq, FS, filters, levels)
+        assert result.mask_used == mask
+        assert same_bits(result.oscillatory, osc)
+        assert same_bits(result.transient, trans)
+
+    @pytest.mark.parametrize("x, screened", [
+        (peak_at(1.0), True),
+        (peak_at(LOW), True),
+        (peak_at(LOW, 0.0), False),
+        (peak_at(HIGH), True),
+        (peak_at(HIGH, math.inf), False),
+        (np.full(5000, np.nan), False),
+    ], ids=["one", "low edge", "below", "high edge", "above", "nan"])
+    def test_the_screen_runs_only_inside_its_range(self, monkeypatch, x, screened):
+        full_length = []
+
+        def recorded(*args):
+            full_length.append(args[0].size)
+            return swt_decompose(*args)
+
+        monkeypatch.setattr(g.despike, "swt_decompose", recorded)
+        try:
+            separate(x, 85.0, FS)
+        except ValueError:
+            assert np.isnan(x).any()
+        assert full_length == ([] if screened else [5000])
+
+    def test_an_exact_tie_on_the_screened_path_goes_to_the_earliest(self, db4, monkeypatch):
+        burst = g.gen_gamma_burst(45.0)
+        x = placed(burst, 1000) + placed(burst, 3000)
+        coeffs = swt_decompose(x, db4, 3)
+        # the second burst is the first shifted by 2000 samples, bit for bit
+        for level in (1, 2, 3):
+            d = coeffs.details[level - 1]
+            assert same_bits(d[3000 - 200 : 3400], d[1000 - 200 : 1400])
+        monkeypatch.setattr(g.despike, "swt_decompose", None)
+        center = separate(x, 45.0, FS, db4).detection_center_sample
+        assert center == box_peak_center(coeffs, 45.0, FS, db4.length)
+        assert abs(center - (1000 + burst.size // 2)) <= 10
 
 
 class TestRecordingEdges:

@@ -255,6 +255,29 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             iswt_reconstruct(np.zeros(64), db4)
 
+    def test_all_zero_detail_levels_skip_their_convolution(self, db4, rng, monkeypatch):
+        # a level of zeros (-0.0 too) adds +0.0, which changes no bit of the
+        # low-pass half: circular_conv never emits -0.0
+        details = [rng.standard_normal(96), np.zeros(96), np.full(96, -0.0),
+                   rng.standard_normal(96)]
+        coeffs = WaveletCoefficients(rng.standard_normal(96), tuple(details))
+        a = coeffs.approximation
+        for j in range(4, 0, -1):
+            stride = 2 ** (j - 1)
+            mixed = circular_conv(a, db4.rec_lo, stride) + circular_conv(
+                details[j - 1], db4.rec_hi, stride
+            )
+            a = 0.5 * np.roll(mixed, -(db4.length - 1) * stride)
+        calls = []
+
+        def recorded(x, taps, stride=1):
+            calls.append(taps is db4.rec_hi)
+            return circular_conv(x, taps, stride)
+
+        monkeypatch.setattr(g.swt, "circular_conv", recorded)
+        assert same_bits(iswt_reconstruct(coeffs, db4), a)
+        assert calls.count(True) == 2 and len(calls) == 4 + 2
+
 
 class TestShiftInvariance:
     def test_details_shift_bit_exactly_with_the_input(self, db4, rng):
